@@ -1,8 +1,7 @@
 """Command-line surface: feature extraction, training, evaluation, fixtures.
 
 Exit codes: 0 ok, 2 data error, 64 usage/config error. All commands honor
---seed; outputs depend only on inputs, configuration, and seed. The
-AVSYNC_THREADS environment variable caps feature-extraction worker threads.
+--seed; outputs depend only on inputs, configuration, and seed.
 """
 
 from __future__ import annotations
@@ -10,9 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -37,16 +34,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-def _worker_count() -> int:
-    cap = os.environ.get("AVSYNC_THREADS")
-    if cap:
-        try:
-            return max(1, int(cap))
-        except ValueError:
-            raise ConfigError(f"AVSYNC_THREADS must be an integer, got {cap!r}")
-    return os.cpu_count() or 1
 
 
 def _load_config_file(path) -> dict:
@@ -90,25 +77,15 @@ def cmd_features_audio(args) -> int:
         rows = avio.load_manifest(args.manifest, allow_fps=args.allow_fps)
         out_dir = Path(args.out_dir or ".")
         out_dir.mkdir(parents=True, exist_ok=True)
-        jobs = [(row.audio_path, out_dir / f"{row.subject_id}_{i:04d}.avcb")
-                for i, row in enumerate(rows)]
         failures = 0
-
-        def extract(job):
-            src, dst = job
-            clip = avio.read_wav(src)
-            cube = build_speech_cube(clip, SpeechConfig(), cepstral=args.mfcc)
-            return dst, cube
-
-        with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-            futures = [pool.submit(extract, job) for job in jobs]
-            for job, fut in zip(jobs, futures):
-                try:
-                    dst, cube = fut.result()
-                    avio.write_cube(dst, cube.values)
-                except AvMatchError as exc:
-                    failures += 1
-                    print(f"error: {job[0]}: {exc}", file=sys.stderr)
+        for i, row in enumerate(rows):
+            try:
+                cube = build_speech_cube(avio.read_wav(row.audio_path), SpeechConfig(),
+                                         cepstral=args.mfcc)
+                avio.write_cube(out_dir / f"{row.subject_id}_{i:04d}.avcb", cube.values)
+            except AvMatchError as exc:
+                failures += 1
+                print(f"error: {row.audio_path}: {exc}", file=sys.stderr)
         return EXIT_DATA if failures else EXIT_OK
 
     clip = avio.read_wav(args.infile)

@@ -114,15 +114,23 @@ def write_cube(path, array) -> None:
     Path(path).write_bytes(header + payload)
 
 
+def _take(path, raw: bytes, pos: int, fmt: str):
+    """Unpack fmt at byte pos; returns (values, next pos). Short input is a DataError."""
+    try:
+        values = struct.unpack_from(fmt, raw, pos)
+    except struct.error:
+        raise DataError(f"{path}: truncated at byte {pos}") from None
+    return values, pos + struct.calcsize(fmt)
+
+
 def read_cube(path) -> np.ndarray:
     raw = Path(path).read_bytes()
     if len(raw) < 8 or raw[:4] != CUBE_MAGIC:
         raise DataError(f"{path}: not a cube file")
-    version, rank = struct.unpack_from("<HH", raw, 4)
+    (version, rank), _ = _take(path, raw, 4, "<HH")
     if version != FORMAT_VERSION:
         raise DataError(f"{path}: unsupported cube version {version}")
-    extents = struct.unpack_from(f"<{rank}I", raw, 8)
-    offset = 8 + 4 * rank
+    extents, offset = _take(path, raw, 8, f"<{rank}I")
     count = int(np.prod(extents))
     expected = offset + 4 * count
     if len(raw) != expected:
@@ -161,7 +169,8 @@ def load_checkpoint(path, dtype: str = "float32",
     """Rebuild the model and load every parameter and running statistic.
 
     Refuses to load when the stored architecture digest does not match the
-    model the builder produces for the stored configuration.
+    model the builder produces for the stored configuration, when the file is
+    truncated, or when a blob holds a NaN or infinite value.
     """
     raw = Path(path).read_bytes()
     if len(raw) < 6 or raw[:4] != CKPT_MAGIC:
@@ -169,12 +178,7 @@ def load_checkpoint(path, dtype: str = "float32",
     (version,) = struct.unpack_from("<H", raw, 4)
     if version != FORMAT_VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
-    pos = 6
-    (zeta,) = struct.unpack_from("<I", raw, pos); pos += 4
-    mu, lam, rho = struct.unpack_from("<ddd", raw, pos); pos += 24
-    (seed,) = struct.unpack_from("<q", raw, pos); pos += 8
-    digest = raw[pos:pos + 32]; pos += 32
-    (n_blobs,) = struct.unpack_from("<I", raw, pos); pos += 4
+    (zeta, mu, lam, rho, seed, digest, n_blobs), pos = _take(path, raw, 6, "<Idddq32sI")
 
     cfg = ModelConfig(zeta=zeta, mu=mu, lam=lam, rho=rho, seed=seed, dtype=dtype)
     model = (builder or CoupledModel)(cfg)
@@ -185,13 +189,14 @@ def load_checkpoint(path, dtype: str = "float32",
     buffer_names = {name for name, _ in model.named_buffers()}
     loaded = set()
     for _ in range(n_blobs):
-        (name_len,) = struct.unpack_from("<H", raw, pos); pos += 2
-        name = raw[pos:pos + name_len].decode(); pos += name_len
-        (rank,) = struct.unpack_from("<H", raw, pos); pos += 2
-        extents = struct.unpack_from(f"<{rank}I", raw, pos); pos += 4 * rank
-        count = int(np.prod(extents))
-        arr = np.frombuffer(raw[pos:pos + 4 * count], dtype="<f4").reshape(extents)
-        pos += 4 * count
+        (name_len,), pos = _take(path, raw, pos, "<H")
+        (name, rank), pos = _take(path, raw, pos, f"<{name_len}sH")
+        name = name.decode(errors="replace")
+        extents, pos = _take(path, raw, pos, f"<{rank}I")
+        (payload,), pos = _take(path, raw, pos, f"<{4 * int(np.prod(extents))}s")
+        arr = np.frombuffer(payload, dtype="<f4").reshape(extents)
+        if not np.isfinite(arr).all():
+            raise DataError(f"{path}: blob {name} holds non-finite values")
         if name in params:
             target = params[name]
             if target.data.shape != arr.shape:

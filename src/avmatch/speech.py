@@ -98,6 +98,11 @@ def frame_signal(clip: AudioClip, window_ms: float = 20.0, overlap: float = 0.0)
     return clip.samples[idx]
 
 
+def _mel_edges(n_filters: int, f_low: float, f_high: float) -> np.ndarray:
+    """The n_filters + 2 triangle breakpoints in Hz, equally spaced in mel."""
+    return mel_to_hz(np.linspace(hz_to_mel(f_low), hz_to_mel(f_high), n_filters + 2))
+
+
 def mel_filterbank(n_filters: int, fft_size: int, sample_rate: int,
                    f_low: float, f_high: float) -> np.ndarray:
     """Triangular filter weights [n_filters, fft_size // 2 + 1].
@@ -110,22 +115,17 @@ def mel_filterbank(n_filters: int, fft_size: int, sample_rate: int,
         raise ConfigError(f"f_high {f_high} Hz above Nyquist {sample_rate / 2.0} Hz")
     if f_low < 0 or f_low >= f_high:
         raise ConfigError(f"need 0 <= f_low < f_high, got {f_low}, {f_high}")
-    edges_hz = mel_to_hz(np.linspace(hz_to_mel(f_low), hz_to_mel(f_high), n_filters + 2))
+    edges_hz = _mel_edges(n_filters, f_low, f_high)[:, None]
+    left, center, right = edges_hz[:-2], edges_hz[1:-1], edges_hz[2:]
     bins_hz = np.arange(fft_size // 2 + 1) * (sample_rate / fft_size)
-    weights = np.zeros((n_filters, len(bins_hz)))
-    for j in range(n_filters):
-        left, center, right = edges_hz[j], edges_hz[j + 1], edges_hz[j + 2]
-        rising = (bins_hz - left) / (center - left)
-        falling = (right - bins_hz) / (right - center)
-        weights[j] = np.clip(np.minimum(rising, falling), 0.0, None)
-    return weights
+    rising = (bins_hz - left) / (center - left)
+    falling = (right - bins_hz) / (right - center)
+    return np.clip(np.minimum(rising, falling), 0.0, None)
 
 
 def filter_center_frequencies(cfg: SpeechConfig, sample_rate: int | None = None) -> np.ndarray:
     rate = sample_rate or cfg.sample_rate
-    f_high = cfg.resolved_f_high(rate)
-    edges = mel_to_hz(np.linspace(hz_to_mel(cfg.f_low), hz_to_mel(f_high), cfg.n_filters + 2))
-    return edges[1:-1]
+    return _mel_edges(cfg.n_filters, cfg.f_low, cfg.resolved_f_high(rate))[1:-1]
 
 
 def _frame_window(length: int, kind: str) -> np.ndarray:
@@ -136,21 +136,25 @@ def _frame_window(length: int, kind: str) -> np.ndarray:
     raise ConfigError(f"unknown window function {kind!r}")
 
 
-def mel_filterbank_energies(frame: np.ndarray, n_filters: int = 40, fft_size: int = 512,
+def mel_filterbank_energies(frames: np.ndarray, n_filters: int = 40, fft_size: int = 512,
                             sample_rate: int = 16000, f_low: float = 0.0,
-                            f_high: float | None = None, window_fn: str = "hamming",
-                            filterbank: np.ndarray | None = None) -> np.ndarray:
-    """Log energies of one frame over the triangular mel filterbank."""
-    frame = np.asarray(frame, dtype=np.float64)
-    if fft_size < len(frame):
-        raise ConfigError(f"fft_size {fft_size} smaller than frame length {len(frame)}")
+                            f_high: float | None = None,
+                            window_fn: str = "hamming") -> np.ndarray:
+    """Log mel filterbank energies of one frame [win] or of frames [n, win].
+
+    The result has the leading shape of the input and n_filters on the last
+    axis.
+    """
+    frames = np.asarray(frames, dtype=np.float64)
+    win = frames.shape[-1]
+    if fft_size < win:
+        raise ConfigError(f"fft_size {fft_size} smaller than frame length {win}")
     f_high = f_high if f_high is not None else sample_rate / 2.0
-    if filterbank is None:
-        filterbank = mel_filterbank(n_filters, fft_size, sample_rate, f_low, f_high)
-    windowed = frame * _frame_window(len(frame), window_fn)
-    spectrum = np.fft.rfft(windowed, n=fft_size)
+    filterbank = mel_filterbank(n_filters, fft_size, sample_rate, f_low, f_high)
+    windowed = frames * _frame_window(win, window_fn)
+    spectrum = np.fft.rfft(windowed, n=fft_size, axis=-1)
     power = (spectrum.real ** 2 + spectrum.imag ** 2) / fft_size
-    return np.log(filterbank @ power + LOG_ENERGY_FLOOR)
+    return np.log(power @ filterbank.T + LOG_ENERGY_FLOOR)
 
 
 def mfcc_from_mfec(mfec: np.ndarray, n_coeffs: int = 13) -> np.ndarray:
@@ -201,14 +205,12 @@ def standardize(x: Tensor | np.ndarray) -> Tensor:
 def mfec_matrix(clip: AudioClip, cfg: SpeechConfig) -> np.ndarray:
     """Static log filterbank energies [frames, n_filters] for a clip."""
     frames = frame_signal(clip, cfg.window_ms, cfg.overlap)
-    fb = mel_filterbank(cfg.n_filters, cfg.fft_size, clip.sample_rate,
-                        cfg.f_low, cfg.resolved_f_high(clip.sample_rate))
-    return np.stack([
-        mel_filterbank_energies(f, cfg.n_filters, cfg.fft_size, clip.sample_rate,
-                                cfg.f_low, cfg.resolved_f_high(clip.sample_rate),
-                                cfg.window_fn, filterbank=fb)
-        for f in frames
-    ])
+    if frames.shape[1] > cfg.fft_size:
+        raise DataError(f"{clip.sample_rate} Hz audio gives {frames.shape[1]}-sample "
+                        f"{cfg.window_ms:g} ms frames, longer than fft_size {cfg.fft_size}")
+    return mel_filterbank_energies(frames, cfg.n_filters, cfg.fft_size, clip.sample_rate,
+                                   cfg.f_low, cfg.resolved_f_high(clip.sample_rate),
+                                   cfg.window_fn)
 
 
 def build_speech_cube(clip: AudioClip, cfg: SpeechConfig | None = None,

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from avmatch import io as avio
 from avmatch.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from avmatch.model import CoupledModel, ModelConfig
 from avmatch.synth import SynthConfig, generate_corpus
 
 
@@ -118,6 +120,46 @@ class TestFeaturesCommand:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_manifest_mode_reports_bad_row_and_writes_the_rest(self, corpus, tmp_path,
+                                                                capsys):
+        with corpus.open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        bad = tmp_path / "bad.wav"
+        bad.write_bytes(b"not audio at all")
+        for row in rows:
+            row["audio_path"] = str(corpus.parent / row["audio_path"])
+            row["frames_dir"] = str(corpus.parent / row["frames_dir"])
+        rows[2]["audio_path"] = str(bad)
+        manifest = tmp_path / "manifest.csv"
+        with manifest.open("w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        out_dir = tmp_path / "cubes"
+        rc = main(["features", "audio", "--manifest", str(manifest),
+                   "--out-dir", str(out_dir)])
+        assert rc == EXIT_DATA
+        assert f"error: {bad}:" in capsys.readouterr().err
+        written = sorted(p.name for p in out_dir.glob("*.avcb"))
+        expected = sorted(f"{row['subject_id']}_{i:04d}.avcb"
+                          for i, row in enumerate(rows) if i != 2)
+        assert written == expected
+
+    def test_48khz_wav_is_data_error(self, tmp_path):
+        wav = tmp_path / "hi.wav"
+        avio.write_wav(wav, np.zeros(48000 // 2), 48000)
+        rc = main(["features", "audio", "--in", str(wav),
+                   "--out", str(tmp_path / "x.avcb")])
+        assert rc == EXIT_DATA
+
+    def test_truncated_frame_cube_exits_2(self, tmp_path):
+        packed = tmp_path / "frames.avcb"
+        avio.write_cube(packed, np.zeros((12, 60, 100), dtype=np.float32))
+        packed.write_bytes(packed.read_bytes()[:14])
+        rc = main(["features", "video", "--cube", str(packed),
+                   "--out", str(tmp_path / "v.avcb")])
+        assert rc == EXIT_DATA
+
 
 class TestUsageErrors:
     def test_missing_required_flags(self):
@@ -138,6 +180,15 @@ class TestUsageErrors:
     def test_missing_manifest_is_data_error(self, tmp_path):
         rc = main(["train", "--manifest", str(tmp_path / "nope.csv"),
                    "--out", str(tmp_path / "c.avck")])
+        assert rc == EXIT_DATA
+
+    def test_eval_on_nan_checkpoint_is_data_error(self, corpus, tmp_path):
+        model = CoupledModel(ModelConfig(zeta=8, seed=0))
+        next(iter(model.named_parameters()))[1].data.flat[0] = np.nan
+        ckpt = tmp_path / "nan.avck"
+        avio.save_checkpoint(ckpt, model)
+        rc = main(["eval", "--ckpt", str(ckpt), "--manifest", str(corpus),
+                   "--out-dir", str(tmp_path / "eval")])
         assert rc == EXIT_DATA
 
 

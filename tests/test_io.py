@@ -106,6 +106,14 @@ class TestCubeFile:
         with pytest.raises(DataError):
             avio.read_cube(path)
 
+    def test_truncated_header(self, tmp_path):
+        # 14 bytes stop inside the extents; test_length_mismatch cuts the payload
+        path = tmp_path / "cut.avcb"
+        avio.write_cube(path, np.zeros((15, 40, 3), dtype=np.float32))
+        path.write_bytes(path.read_bytes()[:14])
+        with pytest.raises(DataError):
+            avio.read_cube(path)
+
 
 @pytest.fixture(scope="module")
 def model():
@@ -141,6 +149,25 @@ class TestCheckpoint:
         path = tmp_path / "junk.avck"
         path.write_bytes(b"AVCBwrong-kind")
         with pytest.raises(DataError):
+            avio.load_checkpoint(path)
+
+    @pytest.mark.parametrize("keep", [20, 4 + 2 + 4 + 24 + 8 + 32 + 4 + 30, -2])
+    def test_truncated_is_data_error(self, tmp_path, model, keep):
+        # cuts inside the config header, inside the first blob's header, and
+        # inside the last blob's payload
+        path = tmp_path / "cut.avck"
+        avio.save_checkpoint(path, model)
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(DataError, match="truncated"):
+            avio.load_checkpoint(path)
+
+    def test_nan_parameter_refused_naming_blob(self, tmp_path):
+        bad = CoupledModel(ModelConfig(zeta=16, seed=4, dtype="float32"))
+        name, param = list(bad.named_parameters())[3]
+        param.data.flat[0] = np.nan
+        path = tmp_path / "nan.avck"
+        avio.save_checkpoint(path, bad)
+        with pytest.raises(DataError, match=f"blob {name} "):
             avio.load_checkpoint(path)
 
     def test_save_after_training_restores_running_stats(self, tmp_path, model):

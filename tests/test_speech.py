@@ -4,9 +4,10 @@ import pytest
 from avmatch.errors import ConfigError, DataError
 from avmatch.speech import (AudioClip, SpeechConfig, build_speech_cube,
                             filter_center_frequencies, frame_signal,
-                            inverse_mfcc, mel_filterbank,
-                            mel_filterbank_energies, mfcc_from_mfec,
-                            mfec_matrix, standardize, temporal_derivatives)
+                            hz_to_mel, inverse_mfcc, mel_filterbank,
+                            mel_filterbank_energies, mel_to_hz,
+                            mfcc_from_mfec, mfec_matrix, standardize,
+                            temporal_derivatives)
 from avmatch.tensor import Tensor
 
 
@@ -100,6 +101,57 @@ class TestMelEnergies:
         fwd = mel_filterbank_energies(frame)
         rev = mel_filterbank_energies(frame[::-1])
         np.testing.assert_allclose(fwd, rev, atol=1e-9)
+
+
+def per_filter_filterbank(n_filters, fft_size, sample_rate, f_low, f_high):
+    """One triangle at a time, the way the filterbank was first written."""
+    edges_hz = mel_to_hz(np.linspace(hz_to_mel(f_low), hz_to_mel(f_high), n_filters + 2))
+    bins_hz = np.arange(fft_size // 2 + 1) * (sample_rate / fft_size)
+    weights = np.zeros((n_filters, len(bins_hz)))
+    for j in range(n_filters):
+        left, center, right = edges_hz[j], edges_hz[j + 1], edges_hz[j + 2]
+        rising = (bins_hz - left) / (center - left)
+        falling = (right - bins_hz) / (right - center)
+        weights[j] = np.clip(np.minimum(rising, falling), 0.0, None)
+    return weights
+
+
+class TestVectorisedAgainstLoops:
+    @pytest.mark.parametrize("rate, fft_size, f_low, f_high", [
+        (16000, 512, 0.0, 8000.0),
+        (8000, 256, 100.0, 3800.0),
+        (22050, 1024, 300.0, 11025.0),
+    ])
+    def test_filterbank_equals_per_filter_loop(self, rate, fft_size, f_low, f_high):
+        got = mel_filterbank(40, fft_size, rate, f_low, f_high)
+        expected = per_filter_filterbank(40, fft_size, rate, f_low, f_high)
+        np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("clip, cfg", [
+        (tone(440, 0.3), SpeechConfig()),
+        (tone(2500, 1.0, amp=0.1), SpeechConfig()),
+        (AudioClip(np.random.default_rng(1).standard_normal(4800) * 0.3, 16000),
+         SpeechConfig()),
+        (AudioClip(np.random.default_rng(2).standard_normal(2400), 8000),
+         SpeechConfig(window_fn="rect", fft_size=256)),
+        (tone(1000, 0.5), SpeechConfig(overlap=0.5, f_low=200.0, f_high=6000.0)),
+    ])
+    def test_mfec_matrix_equals_per_frame_stack(self, clip, cfg):
+        frames = frame_signal(clip, cfg.window_ms, cfg.overlap)
+        expected = np.stack([
+            mel_filterbank_energies(f, cfg.n_filters, cfg.fft_size, clip.sample_rate,
+                                    cfg.f_low, cfg.resolved_f_high(clip.sample_rate),
+                                    cfg.window_fn)
+            for f in frames
+        ])
+        got = mfec_matrix(clip, cfg)
+        assert got.shape == (len(frames), cfg.n_filters)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    def test_frame_longer_than_fft_is_data_error(self):
+        clip = AudioClip(np.zeros(14400), 48000)
+        with pytest.raises(DataError, match="48000 Hz"):
+            mfec_matrix(clip, SpeechConfig())
 
 
 class TestCepstral:
