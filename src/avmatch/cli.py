@@ -1,7 +1,8 @@
 """Command-line surface: feature extraction, training, evaluation, fixtures.
 
-Exit codes: 0 ok, 2 data error, 64 usage/config error. All commands honor
---seed; outputs depend only on inputs, configuration, and seed.
+Exit codes: 0 ok, 2 data error (any package error other than a configuration
+error, or an OS error), 64 usage/config error. All commands honor --seed;
+outputs depend only on inputs, configuration, and seed.
 """
 
 from __future__ import annotations
@@ -326,7 +327,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"avmatch: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, OSError) as exc:
+    except (AvMatchError, OSError) as exc:
         print(f"avmatch: {exc}", file=sys.stderr)
         return EXIT_DATA
 

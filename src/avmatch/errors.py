@@ -1,6 +1,7 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: DataError -> 2, ConfigError -> 64.
+The CLI maps these onto exit codes: ConfigError -> 64, every other
+AvMatchError (DataError, ShapeError, ContractError) -> 2.
 """
 
 

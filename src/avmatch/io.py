@@ -170,7 +170,8 @@ def load_checkpoint(path, dtype: str = "float32",
 
     Refuses to load when the stored architecture digest does not match the
     model the builder produces for the stored configuration, when the file is
-    truncated, or when a blob holds a NaN or infinite value.
+    truncated or has bytes after the last blob, or when a blob holds a NaN or
+    infinite value. Blobs are copied into the built model's arrays in place.
     """
     raw = Path(path).read_bytes()
     if len(raw) < 6 or raw[:4] != CKPT_MAGIC:
@@ -185,9 +186,8 @@ def load_checkpoint(path, dtype: str = "float32",
     if model.spec_digest() != digest:
         raise DataError(f"{path}: architecture digest mismatch; refusing to load")
 
-    params = dict(model.named_parameters())
-    buffer_names = {name for name, _ in model.named_buffers()}
-    loaded = set()
+    targets = {name: p.data for name, p in model.named_parameters()}
+    targets.update(model.named_buffers())
     for _ in range(n_blobs):
         (name_len,), pos = _take(path, raw, pos, "<H")
         (name, rank), pos = _take(path, raw, pos, f"<{name_len}sH")
@@ -197,31 +197,18 @@ def load_checkpoint(path, dtype: str = "float32",
         arr = np.frombuffer(payload, dtype="<f4").reshape(extents)
         if not np.isfinite(arr).all():
             raise DataError(f"{path}: blob {name} holds non-finite values")
-        if name in params:
-            target = params[name]
-            if target.data.shape != arr.shape:
-                raise DataError(f"{path}: blob {name} has shape {arr.shape}, "
-                                f"expected {target.data.shape}")
-            target.data = arr.astype(target.data.dtype)
-        elif name in buffer_names:
-            _assign_buffer(model, name, arr)
-        else:
-            raise DataError(f"{path}: unknown blob {name!r}")
-        loaded.add(name)
-    missing = (set(params) | buffer_names) - loaded
-    if missing:
-        raise DataError(f"{path}: missing blobs {sorted(missing)}")
+        target = targets.pop(name, None)
+        if target is None:
+            raise DataError(f"{path}: unknown or repeated blob {name!r}")
+        if target.shape != arr.shape:
+            raise DataError(f"{path}: blob {name} has shape {arr.shape}, "
+                            f"expected {target.shape}")
+        target[...] = arr
+    if pos != len(raw):
+        raise DataError(f"{path}: {len(raw) - pos} unexpected bytes after the last blob")
+    if targets:
+        raise DataError(f"{path}: missing blobs {sorted(targets)}")
     return model
-
-
-def _assign_buffer(model: CoupledModel, name: str, value: np.ndarray) -> None:
-    stack_name, layer_name, suffix = name.split(".")
-    stack = model.visual_net if stack_name == "visual" else model.audio_net
-    for layer in stack.layers:
-        if getattr(layer, "name", None) == layer_name:
-            layer.set_buffer(suffix, value)
-            return
-    raise DataError(f"no layer {layer_name!r} for buffer {name!r}")
 
 
 # ---------------------------------------------------------------- manifests

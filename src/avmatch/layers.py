@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, ContractError, ShapeError
-from .tensor import Tensor, active_tape
+from .tensor import Tensor, op_result
 
 MODES = ("train", "frozen", "infer")
 
@@ -38,8 +38,11 @@ def _as_batch(x: Tensor):
     raise ShapeError(f"expected rank-4 [T,H,W,C] or rank-5 [N,T,H,W,C] input, got {x.data.shape}")
 
 
-def _conv_out_extent(n, k, s):
-    return (n - k) // s + 1
+def _valid_extents(layer, spatial):
+    """Output extents (T', H', W') of ``layer``'s valid windows over ``spatial``."""
+    if any(k > n for k, n in zip(layer.kernel, spatial)):
+        raise ShapeError(f"{layer.name}: kernel {layer.kernel} exceeds input {spatial}")
+    return tuple((n - k) // s + 1 for n, k, s in zip(spatial, layer.kernel, layer.stride))
 
 
 def _window_view(data: np.ndarray, kernel, stride):
@@ -50,7 +53,28 @@ def _window_view(data: np.ndarray, kernel, stride):
     return np.moveaxis(v, 4, 7)
 
 
-class Conv3D:
+def _window_slices(kernel, stride, out_extents):
+    """Yield (kernel offset, index) in flat C order over the kernel offsets.
+
+    The index selects, from an [N,T,H,W,C] input, the element that each
+    output window reads at that offset.
+    """
+    for offset in np.ndindex(*kernel):
+        yield offset, (slice(None),) + tuple(
+            slice(i, i + s * n, s) for i, s, n in zip(offset, stride, out_extents))
+
+
+class Layer:
+    """Base for stack members; a layer without state keeps these empty lists."""
+
+    def parameters(self):
+        return []
+
+    def buffers(self):
+        return []
+
+
+class Conv3D(Layer):
     """Valid 3D cross-correlation; kernels [out_ch, kT, kH, kW, in_ch]."""
 
     def __init__(self, in_ch, out_ch, kernel, stride=(1, 1, 1), seed=None,
@@ -67,64 +91,42 @@ class Conv3D:
     def forward(self, x: Tensor, mode="infer", rng=None) -> Tensor:
         xb, squeeze = _as_batch(x)
         n, t, h, w, c = xb.data.shape
-        kt, kh, kw = self.kernel
-        st, sh, sw = self.stride
         if c != self.in_ch:
             raise ShapeError(f"{self.name}: expected {self.in_ch} input channels, got {c}")
-        if kt > t or kh > h or kw > w:
-            raise ShapeError(f"{self.name}: kernel {self.kernel} exceeds input {(t, h, w)}")
-        to, ho, wo = (_conv_out_extent(t, kt, st), _conv_out_extent(h, kh, sh),
-                      _conv_out_extent(w, kw, sw))
+        extents = _valid_extents(self, (t, h, w))
 
         x_data = xb.data
-        cols = _window_view(x_data, self.kernel, self.stride).reshape(n * to * ho * wo, -1)
+        rows = n * int(np.prod(extents))
+        cols = _window_view(x_data, self.kernel, self.stride).reshape(rows, -1)
         wmat = self.kernels.data.reshape(self.out_ch, -1).T
         out_data = cols @ wmat
         out_data += self.bias.data
-        out_data = out_data.reshape(n, to, ho, wo, self.out_ch)
+        out_data = out_data.reshape((n,) + extents + (self.out_ch,))
+        need_x = xb.requires_grad
 
-        req = xb.requires_grad or self.kernels.requires_grad or self.bias.requires_grad
-        out = Tensor(out_data, requires_grad=req)
-        tape = active_tape()
-        if tape is not None and req:
-            need_x = xb.requires_grad
-            x_shape = x_data.shape
+        def bw(g):
+            gmat = np.ascontiguousarray(g.reshape(-1, self.out_ch))
+            gk = (cols.T @ gmat).T.reshape(self.kernels.data.shape)
+            gb = gmat.sum(axis=0)
+            gx = None
+            if need_x:
+                dcols = (gmat @ wmat.T).reshape((n,) + extents + self.kernel + (c,))
+                gx = np.zeros(x_data.shape, dtype=g.dtype)  # calloc; pages filled lazily
+                for offset, index in _window_slices(self.kernel, self.stride, extents):
+                    gx[index] += dcols[(slice(None),) * 4 + offset]
+            return (gx, gk, gb)
 
-            def bw(g):
-                gmat = np.ascontiguousarray(g.reshape(-1, self.out_ch))
-                gk = (cols.T @ gmat).T.reshape(self.kernels.data.shape)
-                gb = gmat.sum(axis=0)
-                gx = None
-                if need_x:
-                    dcols = (gmat @ wmat.T).reshape(n, to, ho, wo, kt, kh, kw, c)
-                    gx = np.zeros(x_shape, dtype=g.dtype)  # calloc; pages filled lazily
-                    for i in range(kt):
-                        for j in range(kh):
-                            for k in range(kw):
-                                gx[:, i:i + st * to:st, j:j + sh * ho:sh, k:k + sw * wo:sw, :] += \
-                                    dcols[:, :, :, :, i, j, k, :]
-                return (gx, gk, gb)
-
-            tape.record(out, (xb, self.kernels, self.bias), bw)
-        else:
-            out.requires_grad = False
+        out = op_result(out_data, (xb, self.kernels, self.bias), bw)
         return out.reshape(out.data.shape[1:]) if squeeze else out
 
     def out_shape(self, in_shape):
-        t, h, w, _ = in_shape
-        kt, kh, kw = self.kernel
-        st, sh, sw = self.stride
-        return (_conv_out_extent(t, kt, st), _conv_out_extent(h, kh, sh),
-                _conv_out_extent(w, kw, sw), self.out_ch)
+        return _valid_extents(self, in_shape[:3]) + (self.out_ch,)
 
     def parameters(self):
         return [(f"{self.name}.kernels", self.kernels), (f"{self.name}.bias", self.bias)]
 
-    def buffers(self):
-        return []
 
-
-class MaxPool3D:
+class MaxPool3D(Layer):
     """Per-window maximum over valid windows; first-index tie-break in backward."""
 
     def __init__(self, kernel, stride, name="pool"):
@@ -134,59 +136,32 @@ class MaxPool3D:
 
     def forward(self, x: Tensor, mode="infer", rng=None) -> Tensor:
         xb, squeeze = _as_batch(x)
-        n, t, h, w, c = xb.data.shape
-        kt, kh, kw = self.kernel
-        if kt > t or kh > h or kw > w:
-            raise ShapeError(f"{self.name}: kernel {self.kernel} exceeds input {(t, h, w)}")
-        st, sh, sw = self.stride
-        to, ho, wo = (_conv_out_extent(t, kt, st), _conv_out_extent(h, kh, sh),
-                      _conv_out_extent(w, kw, sw))
+        extents = _valid_extents(self, xb.data.shape[1:4])
 
         x_data = xb.data
         # window view [N,T',H',W',C,kT,kH,kW]; reduction streams it without a copy
         win = np.moveaxis(_window_view(x_data, self.kernel, self.stride), 7, 4)
         out_data = win.max(axis=(5, 6, 7))
 
-        out = Tensor(out_data, requires_grad=xb.requires_grad)
-        tape = active_tape()
-        if tape is not None and xb.requires_grad:
+        def bw(g):
+            # route each window's gradient to its first maximum, sweeping the
+            # window offsets in flat order so ties break on the lowest index
+            gx = np.zeros(x_data.shape, dtype=g.dtype)
+            remaining = np.ones(out_data.shape, dtype=bool)
+            for _, index in _window_slices(self.kernel, self.stride, extents):
+                hit = (x_data[index] == out_data) & remaining
+                gx[index] += g * hit
+                remaining &= ~hit
+            return (gx,)
 
-            def bw(g):
-                # route each window's gradient to its first maximum, sweeping the
-                # window offsets in flat order so ties break on the lowest index
-                gx = np.zeros(x_data.shape, dtype=g.dtype)
-                remaining = np.ones(out_data.shape, dtype=bool)
-                for i in range(kt):
-                    for j in range(kh):
-                        for k in range(kw):
-                            src = x_data[:, i:i + st * to:st, j:j + sh * ho:sh,
-                                         k:k + sw * wo:sw, :]
-                            hit = (src == out_data) & remaining
-                            gx[:, i:i + st * to:st, j:j + sh * ho:sh,
-                               k:k + sw * wo:sw, :] += g * hit
-                            remaining &= ~hit
-                return (gx,)
-
-            tape.record(out, (xb,), bw)
-        else:
-            out.requires_grad = False
+        out = op_result(out_data, (xb,), bw)
         return out.reshape(out.data.shape[1:]) if squeeze else out
 
     def out_shape(self, in_shape):
-        t, h, w, c = in_shape
-        kt, kh, kw = self.kernel
-        st, sh, sw = self.stride
-        return (_conv_out_extent(t, kt, st), _conv_out_extent(h, kh, sh),
-                _conv_out_extent(w, kw, sw), c)
-
-    def parameters(self):
-        return []
-
-    def buffers(self):
-        return []
+        return _valid_extents(self, in_shape[:3]) + (in_shape[3],)
 
 
-class PReLU:
+class PReLU(Layer):
     """y = x for x >= 0 else a*x, with one learned slope per channel."""
 
     def __init__(self, channels, init=0.25, dtype=np.float64, name="prelu"):
@@ -201,30 +176,20 @@ class PReLU:
         a = self.slope.data  # broadcasts over leading axes
         neg = x_data < 0
         out_data = np.where(neg, a * x_data, x_data)
-        req = x.requires_grad or self.slope.requires_grad
-        out = Tensor(out_data, requires_grad=req)
-        tape = active_tape()
-        if tape is not None and req:
-            need_x = x.requires_grad
+        need_x = x.requires_grad
 
-            def bw(g):
-                gx = np.where(neg, g * a, g) if need_x else None
-                ga = (g * x_data * neg).reshape(-1, self.channels).sum(axis=0)
-                return (gx, ga)
+        def bw(g):
+            gx = np.where(neg, g * a, g) if need_x else None
+            ga = (g * x_data * neg).reshape(-1, self.channels).sum(axis=0)
+            return (gx, ga)
 
-            tape.record(out, (x, self.slope), bw)
-        else:
-            out.requires_grad = False
-        return out
+        return op_result(out_data, (x, self.slope), bw)
 
     def parameters(self):
         return [(f"{self.name}.slope", self.slope)]
 
-    def buffers(self):
-        return []
 
-
-class Flatten:
+class Flatten(Layer):
     """Collapse everything after the batch axis (or the whole sample)."""
 
     def __init__(self, name="flatten"):
@@ -235,14 +200,8 @@ class Flatten:
             return x.reshape((x.data.shape[0], -1))
         return x.reshape((-1,))
 
-    def parameters(self):
-        return []
 
-    def buffers(self):
-        return []
-
-
-class Dense:
+class Dense(Layer):
     """Affine map on flattened features: y = x W + b."""
 
     def __init__(self, in_features, out_features, seed=None, dtype=np.float64, name="fc"):
@@ -257,34 +216,23 @@ class Dense:
         xb = x.reshape((1, -1)) if single else x
         if xb.data.ndim != 2 or xb.data.shape[1] != self.in_features:
             raise ShapeError(f"{self.name}: expected [*, {self.in_features}], got {x.data.shape}")
-        w, b = self.weights, self.bias
-        out_data = xb.data @ w.data + b.data
-        req = xb.requires_grad or w.requires_grad or b.requires_grad
-        out = Tensor(out_data, requires_grad=req)
-        tape = active_tape()
-        if tape is not None and req:
-            x_data, w_data = xb.data, w.data
-            need_x = xb.requires_grad
+        x_data, w_data = xb.data, self.weights.data
+        need_x = xb.requires_grad
 
-            def bw(g):
-                gx = g @ w_data.T if need_x else None
-                gw = x_data.T @ g
-                gb = g.sum(axis=0)
-                return (gx, gw, gb)
+        def bw(g):
+            gx = g @ w_data.T if need_x else None
+            gw = x_data.T @ g
+            gb = g.sum(axis=0)
+            return (gx, gw, gb)
 
-            tape.record(out, (xb, w, b), bw)
-        else:
-            out.requires_grad = False
+        out = op_result(x_data @ w_data + self.bias.data, (xb, self.weights, self.bias), bw)
         return out.reshape((-1,)) if single else out
 
     def parameters(self):
         return [(f"{self.name}.weights", self.weights), (f"{self.name}.bias", self.bias)]
 
-    def buffers(self):
-        return []
 
-
-class BatchNorm:
+class BatchNorm(Layer):
     """Per-channel batch normalization with running statistics for inference."""
 
     def __init__(self, channels, momentum=0.1, epsilon=1e-6, dtype=np.float64, name="bn"):
@@ -315,36 +263,29 @@ class BatchNorm:
 
         inv_std = 1.0 / np.sqrt(var + self.epsilon)
         x_hat = (x_data - mean) * inv_std
-        out_data = self.gamma.data * x_hat + self.beta.data
-        req = x.requires_grad or self.gamma.requires_grad or self.beta.requires_grad
-        out = Tensor(out_data, requires_grad=req)
-        tape = active_tape()
-        if tape is not None and req:
-            use_batch_stats = mode in ("train", "frozen")
-            gamma_data = self.gamma.data
-            m = x_data.size // self.channels
-            need_x = x.requires_grad
-            ch_axes = tuple(range(x_data.ndim - 1))
+        gamma_data = self.gamma.data
+        out_data = gamma_data * x_hat + self.beta.data
+        use_batch_stats = mode in ("train", "frozen")
+        m = x_data.size // self.channels
+        need_x = x.requires_grad
+        ch_axes = tuple(range(x_data.ndim - 1))
 
-            def bw(g):
-                gg = (g * x_hat).sum(axis=ch_axes)
-                gb = g.sum(axis=ch_axes)
-                gx = None
-                if need_x:
-                    gxh = g * gamma_data
-                    if use_batch_stats:
-                        # standard batch-stat backward (mean and var both depend on x)
-                        t1 = gxh.sum(axis=ch_axes)
-                        t2 = (gxh * x_hat).sum(axis=ch_axes)
-                        gx = inv_std * (gxh - (t1 + x_hat * t2) / m)
-                    else:
-                        gx = gxh * inv_std
-                return (gx, gg, gb)
+        def bw(g):
+            gg = (g * x_hat).sum(axis=ch_axes)
+            gb = g.sum(axis=ch_axes)
+            gx = None
+            if need_x:
+                gxh = g * gamma_data
+                if use_batch_stats:
+                    # standard batch-stat backward (mean and var both depend on x)
+                    t1 = gxh.sum(axis=ch_axes)
+                    t2 = (gxh * x_hat).sum(axis=ch_axes)
+                    gx = inv_std * (gxh - (t1 + x_hat * t2) / m)
+                else:
+                    gx = gxh * inv_std
+            return (gx, gg, gb)
 
-            tape.record(out, (x, self.gamma, self.beta), bw)
-        else:
-            out.requires_grad = False
-        return out
+        return op_result(out_data, (x, self.gamma, self.beta), bw)
 
     def parameters(self):
         return [(f"{self.name}.gamma", self.gamma), (f"{self.name}.beta", self.beta)]
@@ -353,16 +294,8 @@ class BatchNorm:
         return [(f"{self.name}.running_mean", self.running_mean),
                 (f"{self.name}.running_var", self.running_var)]
 
-    def set_buffer(self, suffix, value):
-        if suffix == "running_mean":
-            self.running_mean = value.astype(self.running_mean.dtype)
-        elif suffix == "running_var":
-            self.running_var = value.astype(self.running_var.dtype)
-        else:
-            raise ContractError(f"unknown buffer {suffix!r}")
 
-
-class Dropout:
+class Dropout(Layer):
     """Drops each unit with probability rho in train mode, scaling survivors."""
 
     def __init__(self, rho, name="dropout"):
@@ -378,23 +311,11 @@ class Dropout:
             raise ContractError(f"{self.name}: train mode needs an rng")
         keep = 1.0 - self.rho
         mask = (rng.random(x.data.shape) >= self.rho).astype(x.data.dtype) / keep
-        out = Tensor(x.data * mask, requires_grad=x.requires_grad)
-        tape = active_tape()
-        if tape is not None and x.requires_grad:
 
-            def bw(g):
-                return (g * mask,)
+        def bw(g):
+            return (g * mask,)
 
-            tape.record(out, (x,), bw)
-        else:
-            out.requires_grad = False
-        return out
-
-    def parameters(self):
-        return []
-
-    def buffers(self):
-        return []
+        return op_result(x.data * mask, (x,), bw)
 
 
 class LayerStack:

@@ -1,15 +1,13 @@
 """Dense tensors with tape-based reverse-mode differentiation.
 
 Values live in row-major numpy arrays (float32 or float64). Differentiable
-operations record a node on the thread-local active tape (define-by-run);
-``backward`` replays the tape in reverse and accumulates into ``Tensor.grad``.
-Tapes are cheap throwaway objects, one per optimizer step, and each tape is
-confined to the thread that created it.
+operations return through ``op_result``, which records a node on the active
+tape (define-by-run); ``backward`` replays the tape in reverse and accumulates
+into ``Tensor.grad``. Tapes are cheap throwaway objects, one per optimizer
+step.
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 
@@ -76,33 +74,20 @@ class Tensor:
 
     def maximum(self, floor: float) -> "Tensor":
         """Elementwise max with a scalar. Gradient flows only where x > floor."""
-        out_data = np.maximum(self.data, self.dtype.type(floor))
-        out = Tensor(out_data, requires_grad=self.requires_grad)
-        tape = active_tape()
-        if tape is not None and self.requires_grad:
-            mask = self.data > floor
+        x_data = self.data
 
-            def bw(g):
-                return (g * mask,)
+        def bw(g):
+            return (g * (x_data > floor),)
 
-            tape.record(out, (self,), bw)
-        else:
-            out.requires_grad = False
-        return out
+        return op_result(np.maximum(x_data, self.dtype.type(floor)), (self,), bw)
 
     def sqrt(self) -> "Tensor":
         out_data = np.sqrt(self.data)
-        out = Tensor(out_data, requires_grad=self.requires_grad)
-        tape = active_tape()
-        if tape is not None and self.requires_grad:
 
-            def bw(g):
-                return (g * (0.5 / out_data),)
+        def bw(g):
+            return (g * (0.5 / out_data),)
 
-            tape.record(out, (self,), bw)
-        else:
-            out.requires_grad = False
-        return out
+        return op_result(out_data, (self,), bw)
 
     def sum(self, axis: int | None = None) -> "Tensor":
         """Sum over all elements (axis=None) or over the last axis (axis=-1)."""
@@ -112,92 +97,71 @@ class Tensor:
             out_data = self.data.sum(axis=-1)
         else:
             raise ShapeError("only full reduction or axis=-1 is supported")
-        out = Tensor(out_data, requires_grad=self.requires_grad)
-        tape = active_tape()
-        if tape is not None and self.requires_grad:
-            shape = self.data.shape
+        shape = self.data.shape
 
-            if axis is None:
+        def bw(g):
+            if axis == -1:
+                g = g[..., None]
+            return (np.broadcast_to(g, shape).copy(),)
 
-                def bw(g):
-                    return (np.broadcast_to(g, shape).copy(),)
-
-            else:
-
-                def bw(g):
-                    return (np.broadcast_to(g[..., None], shape).copy(),)
-
-            tape.record(out, (self,), bw)
-        else:
-            out.requires_grad = False
-        return out
+        return op_result(out_data, (self,), bw)
 
     def mean(self) -> "Tensor":
         return self.sum() * (1.0 / self.data.size)
 
     def reshape(self, shape) -> "Tensor":
-        out_data = self.data.reshape(shape)
-        out = Tensor(out_data, requires_grad=self.requires_grad)
-        tape = active_tape()
-        if tape is not None and self.requires_grad:
-            orig = self.data.shape
+        orig = self.data.shape
 
-            def bw(g):
-                return (g.reshape(orig),)
+        def bw(g):
+            return (g.reshape(orig),)
 
-            tape.record(out, (self,), bw)
-        else:
-            out.requires_grad = False
-        return out
-
-
-class _Node:
-    """One recorded op: output tensor, input tensors, and a backward rule."""
-
-    __slots__ = ("output", "inputs", "backward_fn")
-
-    def __init__(self, output, inputs, backward_fn):
-        self.output = output
-        self.inputs = inputs
-        self.backward_fn = backward_fn
+        return op_result(self.data.reshape(shape), (self,), bw)
 
 
 class Tape:
-    """Ordered record of op nodes; inputs of every node precede it."""
+    """Ordered record of (output, inputs, backward_fn) nodes; inputs of every
+    node precede it."""
 
     def __init__(self):
-        self.nodes: list[_Node] = []
+        self.nodes: list[tuple] = []
 
     def record(self, output: Tensor, inputs, backward_fn):
-        self.nodes.append(_Node(output, tuple(inputs), backward_fn))
+        self.nodes.append((output, tuple(inputs), backward_fn))
 
     def __enter__(self):
-        _tape_stack().append(self)
+        _TAPES.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _tape_stack().pop()
-        assert popped is self, "tape stack corrupted (tapes are thread-confined)"
+        popped = _TAPES.pop()
+        assert popped is self, "tape stack corrupted (tapes must exit in reverse order)"
         return False
 
     def __len__(self):
         return len(self.nodes)
 
 
-_tls = threading.local()
-
-
-def _tape_stack() -> list:
-    stack = getattr(_tls, "stack", None)
-    if stack is None:
-        stack = []
-        _tls.stack = stack
-    return stack
+_TAPES: list[Tape] = []
 
 
 def active_tape() -> Tape | None:
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+    return _TAPES[-1] if _TAPES else None
+
+
+def op_result(out_data, inputs, backward_fn) -> Tensor:
+    """Wrap an op's output and record the op on the active tape.
+
+    The result requires a gradient only when a tape is active and some input
+    requires one; only then is the op recorded. ``backward_fn(g)`` returns the
+    inputs' gradients in the order of ``inputs`` (None where none is needed);
+    ``backward`` ignores entries past the last input.
+    """
+    tape = active_tape()
+    req = tape is not None and any(t.requires_grad for t in inputs)
+    out = Tensor(out_data, requires_grad=req)
+    if req:
+        tape.record(out, inputs, backward_fn)
+    return out
 
 
 def create(shape, fill=0.0, seed: int | None = None, dtype=np.float64,
@@ -227,74 +191,42 @@ def create(shape, fill=0.0, seed: int | None = None, dtype=np.float64,
 
 
 def _elementwise_binary(a: Tensor, b, op: str) -> Tensor:
-    b_is_tensor = isinstance(b, Tensor)
-    if b_is_tensor:
+    if isinstance(b, Tensor):
         if a.data.shape != b.data.shape:
             raise ShapeError(f"elementwise shape mismatch: {a.data.shape} vs {b.data.shape}")
-        bv = b.data
+        inputs, bv = (a, b), b.data
     else:
-        bv = a.dtype.type(b)
+        inputs, bv = (a,), a.dtype.type(b)
+    a_data = a.data
 
+    # rules return (grad a, grad b); a scalar b is no input, so backward drops grad b
     if op == "add":
-        out_data = a.data + bv
+        out_data = a_data + bv
+
+        def bw(g):
+            return (g, g)
+
     elif op == "sub":
-        out_data = a.data - bv
+        out_data = a_data - bv
+
+        def bw(g):
+            return (g, -g)
+
     elif op == "rsub":
-        out_data = bv - a.data
+        out_data = bv - a_data
+
+        def bw(g):
+            return (-g, g)
+
     elif op == "mul":
-        out_data = a.data * bv
+        out_data = a_data * bv
+
+        def bw(g):
+            return (g * bv, g * a_data) if len(inputs) == 2 else (g * bv,)
+
     else:  # pragma: no cover
         raise ContractError(f"unknown elementwise op {op!r}")
-
-    req = a.requires_grad or (b_is_tensor and b.requires_grad)
-    out = Tensor(out_data, requires_grad=req)
-    tape = active_tape()
-    if tape is None or not req:
-        out.requires_grad = False
-        return out
-
-    if b_is_tensor:
-        a_data, b_data = a.data, b.data
-
-        if op == "add":
-
-            def bw(g):
-                return (g, g)
-
-        elif op == "sub":
-
-            def bw(g):
-                return (g, -g)
-
-        elif op == "rsub":
-
-            def bw(g):
-                return (-g, g)
-
-        else:  # mul
-
-            def bw(g):
-                return (g * b_data, g * a_data)
-
-        tape.record(out, (a, b), bw)
-    else:
-        if op in ("add", "sub"):
-
-            def bw(g):
-                return (g,)
-
-        elif op == "rsub":
-
-            def bw(g):
-                return (-g,)
-
-        else:  # mul by scalar
-
-            def bw(g):
-                return (g * bv,)
-
-        tape.record(out, (a,), bw)
-    return out
+    return op_result(out_data, inputs, bw)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -303,13 +235,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError("matmul expects rank-2 tensors")
     if a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"inner extents differ: {a.data.shape} x {b.data.shape}")
-    out_data = a.data @ b.data
-    req = a.requires_grad or b.requires_grad
-    out = Tensor(out_data, requires_grad=req)
-    tape = active_tape()
-    if tape is None or not req:
-        out.requires_grad = False
-        return out
     a_data, b_data = a.data, b.data
     need_a, need_b = a.requires_grad, b.requires_grad
 
@@ -318,8 +243,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         gb = a_data.T @ g if need_b else None
         return (ga, gb)
 
-    tape.record(out, (a, b), bw)
-    return out
+    return op_result(a_data @ b_data, (a, b), bw)
 
 
 def backward(loss: Tensor, tape: Tape) -> None:
@@ -332,12 +256,11 @@ def backward(loss: Tensor, tape: Tape) -> None:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     seed = np.ones_like(loss.data)
     loss.grad = seed if loss.grad is None else loss.grad + seed
-    for node in reversed(tape.nodes):
-        g = node.output.grad
+    for output, inputs, backward_fn in reversed(tape.nodes):
+        g = output.grad
         if g is None:
             continue
-        grads = node.backward_fn(g)
-        for inp, gi in zip(node.inputs, grads):
+        for inp, gi in zip(inputs, backward_fn(g)):
             if gi is None or not inp.requires_grad:
                 continue
             if inp.grad is None:

@@ -276,6 +276,8 @@ class FoldPlan:
 
 def split_folds(subjects, k: int = 5, seed: int = 0) -> FoldPlan:
     """Deterministic balanced partition of subjects into k disjoint folds."""
+    if k < 2:
+        raise ConfigError(f"need at least 2 folds, got {k}")
     unique = sorted(set(subjects))
     if len(unique) < k:
         raise ConfigError(f"need at least {k} subjects, got {len(unique)}")
@@ -347,6 +349,8 @@ def evaluate_run(model: CoupledModel, data: PackedPairs, folds: int = 5):
     Splits are stratified by label (round-robin within each class) so EER is
     defined on every split. The overall ROC/PR curves come from all pairs.
     """
+    if folds < 2:
+        raise ConfigError(f"need at least 2 folds for split statistics, got {folds}")
     if len(data) < folds:
         raise ContractError(f"need at least {folds} test pairs")
     d, y = scores(model, data)

@@ -182,6 +182,39 @@ class TestUsageErrors:
                    "--out", str(tmp_path / "c.avck")])
         assert rc == EXIT_DATA
 
+    def test_eval_on_checkpoint_with_trailing_bytes_is_data_error(self, corpus, tmp_path):
+        ckpt = tmp_path / "long.avck"
+        avio.save_checkpoint(ckpt, CoupledModel(ModelConfig(zeta=8, seed=0)))
+        ckpt.write_bytes(ckpt.read_bytes() + bytes(40))
+        rc = main(["eval", "--ckpt", str(ckpt), "--manifest", str(corpus),
+                   "--out-dir", str(tmp_path / "eval")])
+        assert rc == EXIT_DATA
+
+    def test_eval_on_too_small_corpus_is_one_line_data_error(self, tmp_path, capsys):
+        main(["synth", "--out", str(tmp_path / "c"), "--subjects", "1", "--clips", "1",
+              "--clip-seconds", "0.9", "--seed", "0"])
+        ckpt = tmp_path / "m.avck"
+        avio.save_checkpoint(ckpt, CoupledModel(ModelConfig(zeta=8, seed=0)))
+        capsys.readouterr()
+        rc = main(["eval", "--ckpt", str(ckpt), "--manifest",
+                   str(tmp_path / "c" / "manifest.csv"), "--out-dir", str(tmp_path / "eval")])
+        assert rc == EXIT_DATA
+        assert capsys.readouterr().err == "avmatch: need at least 5 test pairs\n"
+
+    def test_eval_with_one_fold_is_usage_error(self, corpus, tmp_path):
+        ckpt = tmp_path / "m.avck"
+        avio.save_checkpoint(ckpt, CoupledModel(ModelConfig(zeta=8, seed=0)))
+        out_dir = tmp_path / "eval"
+        rc = main(["eval", "--ckpt", str(ckpt), "--manifest", str(corpus),
+                   "--folds", "1", "--out-dir", str(out_dir)])
+        assert rc == EXIT_USAGE
+        assert not (out_dir / "metrics.json").exists()
+
+    def test_crossval_with_zero_folds_is_usage_error(self, corpus, tmp_path):
+        rc = main(["crossval", "--manifest", str(corpus), "--grid", "mu=1.0",
+                   "--folds", "0", "--zeta", "8", "--out", str(tmp_path / "cv.json")])
+        assert rc == EXIT_USAGE
+
     def test_eval_on_nan_checkpoint_is_data_error(self, corpus, tmp_path):
         model = CoupledModel(ModelConfig(zeta=8, seed=0))
         next(iter(model.named_parameters()))[1].data.flat[0] = np.nan

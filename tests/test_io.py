@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,25 @@ class TestCheckpoint:
         avio.save_checkpoint(path, model)
         path.write_bytes(path.read_bytes()[:keep])
         with pytest.raises(DataError, match="truncated"):
+            avio.load_checkpoint(path)
+
+    def test_trailing_bytes_refused(self, tmp_path, model):
+        path = tmp_path / "long.avck"
+        avio.save_checkpoint(path, model)
+        path.write_bytes(path.read_bytes() + bytes(40))
+        with pytest.raises(DataError, match="40 unexpected bytes"):
+            avio.load_checkpoint(path)
+
+    def test_repeated_blob_refused(self, tmp_path, model):
+        path = tmp_path / "twice.avck"
+        avio.save_checkpoint(path, model)
+        raw = bytearray(path.read_bytes())
+        count_offset = 4 + 2 + 4 + 24 + 8 + 32
+        raw[count_offset:count_offset + 4] = struct.pack(
+            "<I", struct.unpack_from("<I", raw, count_offset)[0] + 1)
+        name, buffer = model.named_buffers()[-1]
+        path.write_bytes(bytes(raw) + avio._pack_blob(name, buffer))
+        with pytest.raises(DataError, match="repeated blob"):
             avio.load_checkpoint(path)
 
     def test_nan_parameter_refused_naming_blob(self, tmp_path):

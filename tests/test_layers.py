@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from avmatch.errors import ConfigError, ContractError, ShapeError
-from avmatch.layers import (BatchNorm, Conv3D, Dense, Dropout, MaxPool3D, PReLU,
-                            he_init)
+from avmatch.layers import (BatchNorm, Conv3D, Dense, Dropout, Flatten, MaxPool3D,
+                            PReLU, he_init)
 from avmatch.tensor import Tape, Tensor, backward
 
 from gradcheck import check_op_gradients
@@ -368,3 +368,46 @@ class TestDropout:
             return (out * out).sum()
 
         check_op_gradients(build, [x], context=f"dropout seed {seed}")
+
+
+def every_layer():
+    """(layer, batch input shape) for a fresh instance of each layer type."""
+    volume = (2, 3, 4, 4, 2)
+    cases = [
+        (Conv3D(2, 3, (2, 2, 2), seed=0), volume),
+        (MaxPool3D((1, 2, 2), (1, 2, 2)), volume),
+        (BatchNorm(2), volume),
+        (PReLU(2), volume),
+        (Flatten(), volume),
+        (Dense(5, 3, seed=0), (2, 5)),
+        (Dropout(0.5), (2, 5)),
+    ]
+    return [pytest.param(layer, shape, id=type(layer).__name__) for layer, shape in cases]
+
+
+class TestRecording:
+    """Layers record one tape node per forward, and only when a gradient is needed."""
+
+    @staticmethod
+    def forward(layer, shape, requires_grad):
+        x = Tensor(np.random.default_rng(0).standard_normal(shape), requires_grad=requires_grad)
+        return layer.forward(x, mode="train", rng=np.random.default_rng(1))
+
+    @pytest.mark.parametrize("layer,shape", every_layer())
+    def test_outside_a_tape_output_needs_no_grad(self, layer, shape):
+        assert not self.forward(layer, shape, requires_grad=True).requires_grad
+
+    @pytest.mark.parametrize("layer,shape", every_layer())
+    def test_no_grad_inputs_record_nothing(self, layer, shape):
+        for _, p in layer.parameters():
+            p.requires_grad = False
+        with Tape() as tape:
+            out = self.forward(layer, shape, requires_grad=False)
+        assert len(tape) == 0 and not out.requires_grad
+
+    @pytest.mark.parametrize("layer,shape", every_layer())
+    def test_grad_input_records_one_node(self, layer, shape):
+        with Tape() as tape:
+            out = self.forward(layer, shape, requires_grad=True)
+        assert len(tape) == 1 and out.requires_grad
+        assert tape.nodes[0][0] is out

@@ -224,3 +224,25 @@ class TestEndToEnd:
         t2 = m.visual_net.forward(Tensor(xv), mode="train",
                                   rng=np.random.default_rng(1)).data
         assert not np.array_equal(t1, t2)             # dropout masks differ
+
+    def test_train_step_records_hand_counted_nodes(self):
+        m = build_mini_model()
+        xv, xa, y = mini_batch(4, seed=0)
+        with Tape() as tape:
+            ev = m.embed_visual(xv, mode="train", rng=np.random.default_rng(0))
+            visual_nodes = len(tape)
+            ea = m.embed_audio(xa, mode="train", rng=np.random.default_rng(0))
+            audio_nodes = len(tape) - visual_nodes
+            d = batch_distances(ev, ea)
+            distance_nodes = len(tape) - visual_nodes - audio_nodes
+            loss = contrastive_loss(d, y, m.config, weights=m.weight_tensors())
+        # one node per layer; the input reshape of embed_audio needs no gradient
+        assert visual_nodes == len(m.visual_net.layers) == 12
+        assert audio_nodes == len(m.audio_net.layers) == 9
+        # ev - ea, diff * diff, sum, + eps, sqrt
+        assert distance_nodes == 5
+        # data term: d * d, * 0.5, * y (3); mu - d, maximum (2); hinge * hinge,
+        # * 0.5, * (1 - y) (3); +, sum, * 1/n (3). Regularizer over the 7 weight
+        # tensors: w * w and sum each (14), 6 running additions, * lam and + (2).
+        assert len(tape) - 12 - 9 - 5 == 3 + 2 + 3 + 3 + 14 + 6 + 2
+        assert tape.nodes[-1][0] is loss

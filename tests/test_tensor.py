@@ -143,3 +143,34 @@ class TestDeterminism:
             return ((x * 1.7 - 0.3).maximum(0.1)).sqrt().data
 
         np.testing.assert_array_equal(run(), run())
+
+
+class TestRecording:
+    """Ops record a tape node only inside a tape and only for grad-requiring inputs."""
+
+    @staticmethod
+    def every_op(a, b):
+        m = a.reshape((2, 3))
+        return [a + b, a - b, a + 1.0, a - 1.0, 1.0 - a, a * b, a * 2.0, -a,
+                a.maximum(0.0), (a * a + 1.0).sqrt(), a.sum(), m.sum(axis=-1),
+                a.mean(), m, matmul(m, b.reshape((3, 2)))]
+
+    def test_outside_a_tape_nothing_requires_grad(self):
+        a = Tensor(np.arange(6.0), requires_grad=True)
+        b = Tensor(np.ones(6), requires_grad=True)
+        assert not any(out.requires_grad for out in self.every_op(a, b))
+
+    def test_inputs_without_grad_record_no_nodes(self):
+        with Tape() as tape:
+            outs = self.every_op(Tensor(np.arange(6.0)), Tensor(np.ones(6)))
+        assert len(tape) == 0
+        assert not any(out.requires_grad for out in outs)
+
+    def test_one_grad_input_records_every_op(self):
+        a = Tensor(np.arange(6.0), requires_grad=True)
+        with Tape() as tape:
+            outs = self.every_op(a, Tensor(np.ones(6)))
+        assert all(out.requires_grad for out in outs)
+        # one node per result (m counted once), plus a * a and + 1.0 inside the
+        # sqrt and the sum inside mean; b's reshape has no grad input
+        assert len(tape) == 15 + 2 + 1

@@ -75,6 +75,11 @@ class TestSplitFolds:
         with pytest.raises(ConfigError):
             split_folds(["a", "b"], k=5, seed=0)
 
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_fewer_than_two_folds(self, k):
+        with pytest.raises(ConfigError, match="at least 2 folds"):
+            split_folds(["a", "b", "c"], k=k, seed=0)
+
 
 class TestPackPairs:
     def test_empty_rejected(self):
@@ -214,6 +219,13 @@ class TestEvaluateRun:
     def test_too_few_pairs(self):
         with pytest.raises(ContractError):
             evaluate_run(_StubModel(), self.make_data([0.1, 0.9], [1, 0]), folds=5)
+
+    @pytest.mark.parametrize("folds", [0, 1])
+    def test_fewer_than_two_folds(self, folds):
+        # one split would give a NaN standard deviation
+        with pytest.raises(ConfigError, match="at least 2 folds"):
+            evaluate_run(_StubModel(), self.make_data([0.1, 0.9] * 5, [1, 0] * 5),
+                         folds=folds)
 
 
 class TestCrossValidate:
