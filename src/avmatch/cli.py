@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -20,9 +21,9 @@ from . import svgplot
 from .errors import AvMatchError, ConfigError, DataError
 from .model import CoupledModel, ModelConfig
 from .pairs import Clip, PairConfig, SelectionConfig, generate_pairs
-from .speech import SpeechConfig, build_speech_cube
+from .speech import AudioClip, SpeechConfig, build_speech_cube
 from .synth import SynthConfig, generate_corpus
-from .training import TrainConfig, evaluate_run, fit, pack_pairs
+from .training import TrainConfig, cross_validate, evaluate_run, fit, pack_pairs, param_grid
 from .visual import build_visual_cube
 
 EXIT_OK = 0
@@ -51,24 +52,35 @@ def _load_config_file(path) -> dict:
     return values
 
 
+def _row_audio(row) -> AudioClip:
+    """A manifest row's WAV, refused when its rate is not the row's ``sample_rate``."""
+    audio = avio.read_wav(row.audio_path)
+    if audio.sample_rate != row.sample_rate:
+        raise DataError(f"{row.audio_path}: sample rate {audio.sample_rate} Hz, "
+                        f"manifest declares {row.sample_rate} Hz")
+    return audio
+
+
 def _clips_from_manifest(manifest_path, allow_fps=False):
     rows = avio.load_manifest(manifest_path, allow_fps=allow_fps)
-    clips = []
-    for i, row in enumerate(rows):
-        audio = avio.read_wav(row.audio_path)
-        frames = avio.read_frame_dir(row.frames_dir)
-        clips.append(Clip(subject_id=row.subject_id, clip_id=f"{row.subject_id}/{i}",
-                          audio=audio, frames=frames, fps=row.fps))
-    return clips
+    return [Clip(subject_id=row.subject_id, clip_id=f"{row.subject_id}/{i}",
+                 audio=_row_audio(row), frames=avio.read_frame_dir(row.frames_dir),
+                 fps=row.fps)
+            for i, row in enumerate(rows)]
 
 
-def _build_pairs(manifest_path, seed, min_shift, max_shift, fixed_shift=None,
-                 allow_fps=False):
-    clips = _clips_from_manifest(manifest_path, allow_fps=allow_fps)
-    cfg = PairConfig(max_shift_s=max_shift, min_shift_s=min_shift,
-                     fixed_shift_s=fixed_shift)
-    pairs, stats = generate_pairs(clips, cfg, seed=seed)
-    return pairs, stats
+def _packed_pairs(args, manifest_path, seed, dtype, shift=None):
+    """Manifest -> clips -> pairs -> (packed pairs, stats); ``shift`` pins impostor shifts."""
+    lo, hi = (args.min_shift, args.max_shift) if shift is None else (shift, shift)
+    cfg = PairConfig(min_shift_s=lo, max_shift_s=hi, fixed_shift_s=shift)
+    pairs, stats = generate_pairs(_clips_from_manifest(manifest_path, args.allow_fps),
+                                  cfg, seed=seed)
+    return pack_pairs(pairs, dtype=dtype), stats
+
+
+def _check_folds(folds: int) -> None:
+    if folds < 2:
+        raise ConfigError(f"need at least 2 folds, got {folds}")
 
 
 # ------------------------------------------------------------------- commands
@@ -81,13 +93,14 @@ def cmd_features_audio(args) -> int:
         failures = 0
         for i, row in enumerate(rows):
             try:
-                cube = build_speech_cube(avio.read_wav(row.audio_path), SpeechConfig(),
-                                         cepstral=args.mfcc)
+                cube = build_speech_cube(_row_audio(row), SpeechConfig(), cepstral=args.mfcc)
                 avio.write_cube(out_dir / f"{row.subject_id}_{i:04d}.avcb", cube.values)
             except AvMatchError as exc:
                 failures += 1
                 print(f"error: {row.audio_path}: {exc}", file=sys.stderr)
         return EXIT_DATA if failures else EXIT_OK
+    if not (args.infile and args.out):
+        raise ConfigError("features audio needs --in/--out or --manifest")
 
     clip = avio.read_wav(args.infile)
     cube = build_speech_cube(clip, SpeechConfig(), cepstral=args.mfcc)
@@ -101,8 +114,10 @@ def cmd_features_video(args) -> int:
         if stack.ndim != 3:
             raise DataError(f"{args.cube}: packed frames must be rank-3 [n, h, w]")
         frames = list(stack.astype(np.float64))
-    else:
+    elif args.frames:
         frames = avio.read_frame_dir(args.frames)
+    else:
+        raise ConfigError("features video needs --frames or --cube")
     cube = build_visual_cube(frames, start=args.start)
     avio.write_cube(args.out, cube.values)
     return EXIT_OK
@@ -116,20 +131,22 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _apply_config_overrides(args, parser):
-    if args.config:
-        overrides = _load_config_file(args.config)
-        casts = {"epochs": int, "batch_size": int, "zeta": int, "seed": int,
+_CONFIG_CASTS = {"epochs": int, "batch_size": int, "zeta": int, "seed": int,
                  "lr": float, "mu": float, "lam": float, "rho": float,
                  "eta0": float, "min_shift": float, "max_shift": float,
                  "dtype": str, "optimizer": str}
-        for key, raw in overrides.items():
-            if key not in casts:
-                raise ConfigError(f"{args.config}: unknown config key {key!r}")
-            setattr(args, key, casts[key](raw))
 
 
 def _train_configs(args):
+    """Model and train configs from the flags, after ``--config`` overrides."""
+    if args.config:
+        for key, raw in _load_config_file(args.config).items():
+            if key not in _CONFIG_CASTS:
+                raise ConfigError(f"{args.config}: unknown config key {key!r}")
+            try:
+                setattr(args, key, _CONFIG_CASTS[key](raw))
+            except ValueError:
+                raise ConfigError(f"{args.config}: bad value {raw!r} for {key}") from None
     model_cfg = ModelConfig(zeta=args.zeta, mu=args.mu, lam=args.lam, rho=args.rho,
                             seed=args.seed, dtype=args.dtype)
     train_cfg = TrainConfig(batch_size=args.batch_size, max_epochs=args.epochs,
@@ -140,20 +157,35 @@ def _train_configs(args):
     return model_cfg, train_cfg
 
 
-def cmd_train(args, parser) -> int:
-    _apply_config_overrides(args, parser)
+def _grid_axes(spec: str) -> dict:
+    """``key=v1,v2;...`` axes, each value parsed as the type of its ModelConfig field."""
+    types = {f.name: type(f.default) for f in fields(ModelConfig)}
+    axes = {}
+    for entry in filter(None, (e.strip() for e in spec.split(";"))):
+        key, _, values = entry.partition("=")
+        key = key.strip()
+        if key not in types:
+            raise ConfigError(f"unknown hyperparameter {key!r}")
+        try:
+            axes[key] = [types[key](v.strip()) for v in values.split(",")]
+        except ValueError:
+            raise ConfigError(f"bad grid entry {entry!r}; expected {key}=v1,v2 "
+                              f"of type {types[key].__name__}") from None
+    if not axes:
+        raise ConfigError("crossval needs --grid with at least one axis")
+    return axes
+
+
+def cmd_train(args) -> int:
     model_cfg, train_cfg = _train_configs(args)
-    pairs, stats = _build_pairs(args.manifest, args.seed, args.min_shift,
-                                args.max_shift, allow_fps=args.allow_fps)
+    data, stats = _packed_pairs(args, args.manifest, args.seed, model_cfg.np_dtype)
     if stats.skipped:
         print(f"warning: skipped {stats.skipped} impostor windows (stream too short)",
               file=sys.stderr)
-    data = pack_pairs(pairs, dtype=model_cfg.np_dtype)
     val_data = None
     if args.val_manifest:
-        val_pairs, _ = _build_pairs(args.val_manifest, args.seed + 1, args.min_shift,
-                                    args.max_shift, allow_fps=args.allow_fps)
-        val_data = pack_pairs(val_pairs, dtype=model_cfg.np_dtype)
+        val_data, _ = _packed_pairs(args, args.val_manifest, args.seed + 1,
+                                    model_cfg.np_dtype)
 
     model = CoupledModel(model_cfg)
     result = fit(model, data, train_cfg, val_data=val_data)
@@ -172,27 +204,12 @@ def cmd_train(args, parser) -> int:
     return EXIT_OK
 
 
-def cmd_crossval(args, parser) -> int:
-    from .training import cross_validate, param_grid
-
-    _apply_config_overrides(args, parser)
+def cmd_crossval(args) -> int:
+    _check_folds(args.folds)
     model_cfg, train_cfg = _train_configs(args)
-    axes = {}
-    for spec in (args.grid or "").split(";"):
-        spec = spec.strip()
-        if not spec:
-            continue
-        key, _, values = spec.partition("=")
-        if not values:
-            raise ConfigError(f"bad grid entry {spec!r}; expected key=v1,v2")
-        axes[key.strip()] = [float(v) for v in values.split(",")]
-    if not axes:
-        raise ConfigError("crossval needs --grid with at least one axis")
-
-    pairs, _ = _build_pairs(args.manifest, args.seed, args.min_shift, args.max_shift,
-                            allow_fps=args.allow_fps)
-    data = pack_pairs(pairs, dtype=model_cfg.np_dtype)
-    result = cross_validate(data, param_grid(axes), model_cfg, train_cfg, k=args.folds)
+    grid = param_grid(_grid_axes(args.grid))
+    data, _ = _packed_pairs(args, args.manifest, args.seed, model_cfg.np_dtype)
+    result = cross_validate(data, grid, model_cfg, train_cfg, k=args.folds)
     payload = {
         "best": result.best,
         "table": [{"point": point, "fold_eers": eers, "mean_eer": mean}
@@ -203,26 +220,24 @@ def cmd_crossval(args, parser) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args, parser) -> int:
+def cmd_eval(args) -> int:
+    _check_folds(args.folds)
     model = avio.load_checkpoint(args.ckpt)
-    pairs, _ = _build_pairs(args.manifest, args.seed, args.shift, args.shift,
-                            fixed_shift=args.shift, allow_fps=args.allow_fps)
-    data = pack_pairs(pairs, dtype=model.config.np_dtype)
+    data, _ = _packed_pairs(args, args.manifest, args.seed, model.config.np_dtype,
+                            shift=args.shift)
     report = evaluate_run(model, data, folds=args.folds)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "metrics.json").write_text(json.dumps(report.to_dict(), indent=2))
-    with open(out_dir / "roc.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["far", "tpr"])
-        writer.writerows(report.roc)
-    with open(out_dir / "pr.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["recall", "precision"])
-        writer.writerows(report.pr)
-    svgplot.write_curve(out_dir / "roc.svg", report.roc, "FAR", "TPR", "ROC curve")
-    svgplot.write_curve(out_dir / "pr.svg", report.pr, "Recall", "Precision", "PR curve")
+    for name, points, columns, labels in (
+            ("roc", report.roc, ("far", "tpr"), ("FAR", "TPR", "ROC curve")),
+            ("pr", report.pr, ("recall", "precision"), ("Recall", "Precision", "PR curve"))):
+        with open(out_dir / f"{name}.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(columns)
+            writer.writerows(points)
+        svgplot.write_curve(out_dir / f"{name}.svg", points, *labels)
     print(f"eer={report.eer:.4f} auc={report.auc:.4f} ap={report.ap:.4f} "
           f"-> {out_dir}/metrics.json")
     return EXIT_OK
@@ -246,12 +261,14 @@ def build_parser() -> _Parser:
     fa.add_argument("--mfcc", action="store_true",
                     help="apply the cosine transform (cepstral baseline features)")
     fa.add_argument("--allow-fps", action="store_true")
+    fa.set_defaults(func=cmd_features_audio)
 
     fv = fsub.add_parser("video", help="visual cube from grayscale frames")
     fv.add_argument("--frames", help="directory of PGM frames")
     fv.add_argument("--cube", help="packed rank-3 frame cube instead of a directory")
     fv.add_argument("--start", type=int, default=0)
     fv.add_argument("--out", required=True)
+    fv.set_defaults(func=cmd_features_video)
 
     sy = sub.add_parser("synth", help="generate a synthetic fixture corpus")
     sy.add_argument("--out", required=True)
@@ -259,6 +276,7 @@ def build_parser() -> _Parser:
     sy.add_argument("--clips", type=int, default=4)
     sy.add_argument("--clip-seconds", type=float, default=2.0)
     sy.add_argument("--seed", type=int, default=0)
+    sy.set_defaults(func=cmd_synth)
 
     def add_train_flags(p):
         p.add_argument("--manifest", required=True)
@@ -284,12 +302,14 @@ def build_parser() -> _Parser:
     tr.add_argument("--out", required=True, help="checkpoint path")
     tr.add_argument("--val-manifest", help="validation manifest for early stopping")
     tr.add_argument("--stats", help="epoch stats CSV path")
+    tr.set_defaults(func=cmd_train)
 
     cv = sub.add_parser("crossval", help="k-fold hyperparameter search")
     add_train_flags(cv)
     cv.add_argument("--grid", required=True, help='e.g. "mu=0.5,1.0;lam=1e-4,1e-3"')
     cv.add_argument("--folds", type=int, default=5)
     cv.add_argument("--out", required=True, help="result JSON path")
+    cv.set_defaults(func=cmd_crossval)
 
     ev = sub.add_parser("eval", help="evaluate a checkpoint on a test manifest")
     ev.add_argument("--ckpt", required=True)
@@ -300,30 +320,14 @@ def build_parser() -> _Parser:
     ev.add_argument("--folds", type=int, default=5)
     ev.add_argument("--out-dir", required=True)
     ev.add_argument("--allow-fps", action="store_true")
+    ev.set_defaults(func=cmd_eval)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "features":
-            if args.kind == "audio":
-                if not args.manifest and not (args.infile and args.out):
-                    raise ConfigError("features audio needs --in/--out or --manifest")
-                return cmd_features_audio(args)
-            if not args.frames and not args.cube:
-                raise ConfigError("features video needs --frames or --cube")
-            return cmd_features_video(args)
-        if args.command == "synth":
-            return cmd_synth(args)
-        if args.command == "train":
-            return cmd_train(args, parser)
-        if args.command == "crossval":
-            return cmd_crossval(args, parser)
-        if args.command == "eval":
-            return cmd_eval(args, parser)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return args.func(args)
     except ConfigError as exc:
         print(f"avmatch: {exc}", file=sys.stderr)
         return EXIT_USAGE

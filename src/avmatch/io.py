@@ -24,6 +24,9 @@ from .speech import AudioClip
 CUBE_MAGIC = b"AVCB"
 CKPT_MAGIC = b"AVCK"
 FORMAT_VERSION = 1
+# checkpoint header after magic and version: zeta, mu, lam, rho, seed,
+# architecture digest, blob count
+CKPT_HEADER = "<Idddq32sI"
 
 
 # ---------------------------------------------------------------- audio / video
@@ -154,22 +157,18 @@ def save_checkpoint(path, model: CoupledModel) -> None:
     cfg = model.config
     blobs = [(name, p.data) for name, p in model.named_parameters()]
     blobs += [(name, b) for name, b in model.named_buffers()]
-    body = struct.pack("<I", cfg.zeta)
-    body += struct.pack("<ddd", cfg.mu, cfg.lam, cfg.rho)
-    body += struct.pack("<q", cfg.seed)
-    body += model.spec_digest()
-    body += struct.pack("<I", len(blobs))
+    body = struct.pack(CKPT_HEADER, cfg.zeta, cfg.mu, cfg.lam, cfg.rho, cfg.seed,
+                       model.spec_digest(), len(blobs))
     for name, arr in blobs:
         body += _pack_blob(name, arr)
     Path(path).write_bytes(CKPT_MAGIC + struct.pack("<H", FORMAT_VERSION) + body)
 
 
-def load_checkpoint(path, dtype: str = "float32",
-                    builder=None) -> CoupledModel:
+def load_checkpoint(path, dtype: str = "float32") -> CoupledModel:
     """Rebuild the model and load every parameter and running statistic.
 
     Refuses to load when the stored architecture digest does not match the
-    model the builder produces for the stored configuration, when the file is
+    model built from the stored configuration, when the file is
     truncated or has bytes after the last blob, or when a blob holds a NaN or
     infinite value. Blobs are copied into the built model's arrays in place.
     """
@@ -179,10 +178,10 @@ def load_checkpoint(path, dtype: str = "float32",
     (version,) = struct.unpack_from("<H", raw, 4)
     if version != FORMAT_VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
-    (zeta, mu, lam, rho, seed, digest, n_blobs), pos = _take(path, raw, 6, "<Idddq32sI")
+    (zeta, mu, lam, rho, seed, digest, n_blobs), pos = _take(path, raw, 6, CKPT_HEADER)
 
     cfg = ModelConfig(zeta=zeta, mu=mu, lam=lam, rho=rho, seed=seed, dtype=dtype)
-    model = (builder or CoupledModel)(cfg)
+    model = CoupledModel(cfg)
     if model.spec_digest() != digest:
         raise DataError(f"{path}: architecture digest mismatch; refusing to load")
 
@@ -225,11 +224,11 @@ class ManifestRow:
 REQUIRED_COLUMNS = ("subject_id", "audio_path", "frames_dir")
 
 
-def load_manifest(path, allow_fps: bool = False, check_paths: bool = True) -> list:
+def load_manifest(path, allow_fps: bool = False) -> list:
     """Read a dataset manifest (CSV with header, or JSONL).
 
-    Relative paths resolve against the manifest's directory. Frame rate must
-    be 30 f/s unless ``allow_fps`` is set.
+    Relative paths resolve against the manifest's directory and must exist.
+    Frame rate must be 30 f/s unless ``allow_fps`` is set.
     """
     path = Path(path)
     if not path.exists():
@@ -265,11 +264,10 @@ def load_manifest(path, allow_fps: bool = False, check_paths: bool = True) -> li
         if row.fps != 30.0 and not allow_fps:
             raise ConfigError(f"{path}: record {i} has fps {row.fps}; expected 30 "
                               f"(pass --allow-fps to override)")
-        if check_paths:
-            if not row.audio_path.exists():
-                raise DataError(f"{path}: record {i}: missing audio {row.audio_path}")
-            if not row.frames_dir.exists():
-                raise DataError(f"{path}: record {i}: missing frames dir {row.frames_dir}")
+        if not row.audio_path.exists():
+            raise DataError(f"{path}: record {i}: missing audio {row.audio_path}")
+        if not row.frames_dir.exists():
+            raise DataError(f"{path}: record {i}: missing frames dir {row.frames_dir}")
         rows.append(row)
     if not rows:
         raise DataError(f"{path}: manifest is empty")

@@ -18,6 +18,7 @@ from .errors import ConfigError, ContractError, ShapeError
 from .tensor import Tensor, op_result
 
 MODES = ("train", "frozen", "infer")
+BN_MOMENTUM = 0.1   # weight of the current batch in the running statistics
 
 
 def he_init(shape, fan_in: int, seed=None, dtype=np.float64) -> Tensor:
@@ -235,10 +236,9 @@ class Dense(Layer):
 class BatchNorm(Layer):
     """Per-channel batch normalization with running statistics for inference."""
 
-    def __init__(self, channels, momentum=0.1, epsilon=1e-6, dtype=np.float64, name="bn"):
+    def __init__(self, channels, epsilon=1e-6, dtype=np.float64, name="bn"):
         self.name = name
         self.channels = channels
-        self.momentum = momentum
         self.epsilon = epsilon
         self.gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=True)
         self.beta = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
@@ -256,8 +256,8 @@ class BatchNorm(Layer):
             mean = x_data.mean(axis=axes)
             var = x_data.var(axis=axes)
             if mode == "train":
-                self.running_mean += self.momentum * (mean - self.running_mean)
-                self.running_var += self.momentum * (var - self.running_var)
+                self.running_mean += BN_MOMENTUM * (mean - self.running_mean)
+                self.running_var += BN_MOMENTUM * (var - self.running_var)
         else:
             mean, var = self.running_mean, self.running_var
 

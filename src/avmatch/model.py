@@ -54,10 +54,9 @@ class ModelConfig:
         return np.float32 if self.dtype == "float32" else np.float64
 
 
-def _conv_block(idx, in_ch, out_ch, kernel, rng, dtype, stride=(1, 1, 1)):
+def _conv_block(idx, in_ch, out_ch, kernel, rng, dtype):
     return [
-        Conv3D(in_ch, out_ch, kernel, stride=stride, seed=rng, dtype=dtype,
-               name=f"conv{idx}"),
+        Conv3D(in_ch, out_ch, kernel, seed=rng, dtype=dtype, name=f"conv{idx}"),
         BatchNorm(out_ch, dtype=dtype, name=f"bn{idx}"),
         PReLU(out_ch, dtype=dtype, name=f"prelu{idx}"),
     ]

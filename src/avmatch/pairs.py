@@ -66,7 +66,6 @@ class PairConfig:
     max_shift_s: float = 0.5
     min_shift_s: float = 0.1
     impostor_ratio: float = 1.0   # impostors per genuine window
-    window_stride_s: float = 0.3  # spacing of genuine windows inside a clip
     fixed_shift_s: float | None = None  # pin all impostor shifts (test-set replicas)
     speech: SpeechConfig = field(default_factory=SpeechConfig)
 
@@ -99,10 +98,12 @@ def _shift_choices(cfg: PairConfig):
 def generate_pairs(clips, cfg: PairConfig | None = None, seed: int = 0):
     """Produce labeled pairs from aligned clips.
 
-    Returns (pairs, stats). Window starts advance by ``window_stride_s`` from
+    Returns (pairs, stats). Windows of ``WINDOW_S`` tile each clip from
     zero; each start yields one genuine pair plus ``impostor_ratio`` impostors
     whose shifts are drawn uniformly over whole feature hops in
-    [min_shift_s, max_shift_s]. Deterministic for a given seed.
+    [min_shift_s, max_shift_s]. Deterministic for a given seed. A clip whose
+    ``FRAME_COUNT`` frames span more than one feature hop more or less than
+    ``WINDOW_S`` is refused, since its streams would be misaligned.
     """
     cfg = cfg or PairConfig()
     lo_hop, hi_hop = _shift_choices(cfg)
@@ -110,6 +111,9 @@ def generate_pairs(clips, cfg: PairConfig | None = None, seed: int = 0):
     stats = PairGenStats()
 
     for clip_idx, clip in enumerate(clips):
+        if abs(FRAME_COUNT / clip.fps - WINDOW_S) > FEATURE_HOP_S:
+            raise DataError(f"{clip.clip_id}: {FRAME_COUNT} frames at {clip.fps} f/s span "
+                            f"{FRAME_COUNT / clip.fps:.3f} s against {WINDOW_S} s of audio")
         rng = np.random.default_rng([seed, clip_idx])
         video_dur = len(clip.frames) / clip.fps
         audio_dur = clip.audio.duration_s
@@ -138,7 +142,7 @@ def generate_pairs(clips, cfg: PairConfig | None = None, seed: int = 0):
                                             start_s=start + shift)
                 pairs.append(LabeledPair(shifted, visual, 0, clip.subject_id, shift))
                 stats.impostor += 1
-            start = round(start + cfg.window_stride_s, 9)
+            start = round(start + WINDOW_S, 9)
 
     if not pairs:
         raise DataError("no pairs could be generated; clips too short?")

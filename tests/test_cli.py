@@ -281,3 +281,95 @@ class TestTrainEvalCommands:
         payload = json.loads(out.read_text())
         assert payload["best"] == {"mu": 1.0}
         assert len(payload["table"][0]["fold_eers"]) == 3
+
+
+def _edited_manifest(corpus, tmp_path, index, **changes):
+    """Copy of the corpus manifest with absolute paths and ``changes`` applied
+    to row ``index``; returns (manifest path, rows)."""
+    with corpus.open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for row in rows:
+        row["audio_path"] = str(corpus.parent / row["audio_path"])
+        row["frames_dir"] = str(corpus.parent / row["frames_dir"])
+    rows[index].update(changes)
+    manifest = tmp_path / "manifest.csv"
+    with manifest.open("w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    return manifest, rows
+
+
+class TestMalformedValues:
+    def test_config_value_that_does_not_parse_is_usage_error(self, corpus, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("epochs=ten\n")
+        rc = main(["train", "--manifest", str(corpus), "--out",
+                   str(tmp_path / "c.avck"), "--config", str(cfg)])
+        assert rc == EXIT_USAGE
+        assert "'ten' for epochs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["mu=abc", "zeta=8.5", "mu=1.0;zeta=", "bogus=1",
+                                      "eta0=0.1,0.9"])
+    def test_bad_grid_is_usage_error_before_the_manifest_is_read(self, tmp_path, grid):
+        rc = main(["crossval", "--manifest", str(tmp_path / "missing.csv"), "--grid", grid,
+                   "--out", str(tmp_path / "cv.json")])
+        assert rc == EXIT_USAGE
+
+    def test_integer_grid_axis_trains_that_value(self, corpus, tmp_path):
+        out = tmp_path / "cv.json"
+        rc = main(["crossval", "--manifest", str(corpus), "--grid", "zeta=8",
+                   "--folds", "3", "--epochs", "1", "--batch-size", "8", "--out", str(out)])
+        assert rc == EXIT_OK
+        assert json.loads(out.read_text())["best"] == {"zeta": 8}
+
+    def test_eval_folds_checked_before_any_input_is_read(self, tmp_path):
+        rc = main(["eval", "--ckpt", str(tmp_path / "missing.avck"),
+                   "--manifest", str(tmp_path / "missing.csv"), "--folds", "1",
+                   "--out-dir", str(tmp_path / "eval")])
+        assert rc == EXIT_USAGE
+
+    def test_crossval_folds_checked_before_any_input_is_read(self, tmp_path):
+        rc = main(["crossval", "--manifest", str(tmp_path / "missing.csv"),
+                   "--grid", "mu=1.0", "--folds", "1", "--out", str(tmp_path / "cv.json")])
+        assert rc == EXIT_USAGE
+
+
+class TestStreamRates:
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_declared_sample_rate_mismatch_is_data_error(self, corpus, tmp_path, capsys,
+                                                         command):
+        manifest, rows = _edited_manifest(corpus, tmp_path, 1, sample_rate="22050")
+        ckpt = tmp_path / "m.avck"
+        if command == "train":
+            argv = ["train", "--manifest", str(manifest), "--out", str(ckpt),
+                    "--epochs", "1", "--zeta", "8", "--batch-size", "8"]
+        else:
+            avio.save_checkpoint(ckpt, CoupledModel(ModelConfig(zeta=8, seed=0)))
+            argv = ["eval", "--ckpt", str(ckpt), "--manifest", str(manifest),
+                    "--out-dir", str(tmp_path / "eval")]
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert rows[1]["audio_path"] in err and "22050" in err
+
+    def test_features_manifest_names_row_with_wrong_sample_rate(self, corpus, tmp_path,
+                                                                capsys):
+        manifest, rows = _edited_manifest(corpus, tmp_path, 2, sample_rate="8000")
+        out_dir = tmp_path / "cubes"
+        rc = main(["features", "audio", "--manifest", str(manifest),
+                   "--out-dir", str(out_dir)])
+        assert rc == EXIT_DATA
+        assert f"error: {rows[2]['audio_path']}:" in capsys.readouterr().err
+        written = sorted(p.name for p in out_dir.glob("*.avcb"))
+        expected = sorted(f"{row['subject_id']}_{i:04d}.avcb"
+                          for i, row in enumerate(rows) if i != 2)
+        assert written == expected
+
+    def test_allowed_25_fps_row_is_refused_not_misaligned(self, corpus, tmp_path, capsys):
+        manifest, _ = _edited_manifest(corpus, tmp_path, 0, fps="25")
+        ckpt = tmp_path / "m.avck"
+        avio.save_checkpoint(ckpt, CoupledModel(ModelConfig(zeta=8, seed=0)))
+        rc = main(["eval", "--ckpt", str(ckpt), "--manifest", str(manifest), "--allow-fps",
+                   "--out-dir", str(tmp_path / "eval")])
+        assert rc == EXIT_DATA
+        assert "25.0 f/s" in capsys.readouterr().err

@@ -164,3 +164,12 @@ class TestGeneratePairs:
         pairs, stats = generate_pairs([make_clip()], cfg, seed=0)
         impostor = [p for p in pairs if p.label == 0]
         assert len(impostor) + stats.skipped == 2 * stats.genuine
+
+    def test_25_fps_clip_is_refused(self):
+        # 9 frames at 25 f/s span 0.36 s against 0.3 s of audio
+        with pytest.raises(DataError, match=r"c25: .*25 f/s"):
+            generate_pairs([make_clip(clip_id="c25", fps=25)], PairConfig(), seed=0)
+
+    def test_2997_fps_clip_gives_pairs(self):
+        pairs, stats = generate_pairs([make_clip(fps=29.97)], PairConfig(), seed=0)
+        assert stats.genuine > 0 and len(pairs) == stats.genuine + stats.impostor

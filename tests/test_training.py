@@ -261,6 +261,14 @@ class TestCrossValidate:
                            mini_train_cfg(max_epochs=1), k=5,
                            model_factory=lambda cfg: build_mini_model(cfg))
 
+    def test_eta0_is_not_a_grid_axis(self):
+        # selection is off in every fold, so an eta0 axis would not be used
+        with pytest.raises(ConfigError, match="eta0"):
+            cross_validate(toy_data(20, n_subjects=5), [{"eta0": 0.1}],
+                           ModelConfig(zeta=3, dtype="float64"),
+                           mini_train_cfg(max_epochs=1), k=5,
+                           model_factory=lambda cfg: build_mini_model(cfg))
+
     def test_param_grid_product(self):
         grid = param_grid({"mu": [0.5, 1.0], "lam": [0.0, 0.1, 0.2]})
         assert len(grid) == 6
