@@ -38,8 +38,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+_CONFIG_CASTS = {"epochs": int, "batch_size": int, "zeta": int, "seed": int,
+                 "lr": float, "mu": float, "lam": float, "rho": float,
+                 "eta0": float, "min_shift": float, "max_shift": float,
+                 "dtype": str, "optimizer": str}
+
+
 def _load_config_file(path) -> dict:
-    """key=value lines; blank lines and #-comments ignored."""
+    """key=value lines, each value cast like its flag; blank lines and #-comments ignored."""
     values = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.strip()
@@ -47,8 +53,13 @@ def _load_config_file(path) -> dict:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key, _, raw = (part.strip() for part in line.partition("="))
+        if key not in _CONFIG_CASTS:
+            raise ConfigError(f"{path}: unknown config key {key!r}")
+        try:
+            values[key] = _CONFIG_CASTS[key](raw)
+        except ValueError:
+            raise ConfigError(f"{path}: bad value {raw!r} for {key}") from None
     return values
 
 
@@ -131,22 +142,8 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-_CONFIG_CASTS = {"epochs": int, "batch_size": int, "zeta": int, "seed": int,
-                 "lr": float, "mu": float, "lam": float, "rho": float,
-                 "eta0": float, "min_shift": float, "max_shift": float,
-                 "dtype": str, "optimizer": str}
-
-
 def _train_configs(args):
-    """Model and train configs from the flags, after ``--config`` overrides."""
-    if args.config:
-        for key, raw in _load_config_file(args.config).items():
-            if key not in _CONFIG_CASTS:
-                raise ConfigError(f"{args.config}: unknown config key {key!r}")
-            try:
-                setattr(args, key, _CONFIG_CASTS[key](raw))
-            except ValueError:
-                raise ConfigError(f"{args.config}: bad value {raw!r} for {key}") from None
+    """Model and train configs from the flags."""
     model_cfg = ModelConfig(zeta=args.zeta, mu=args.mu, lam=args.lam, rho=args.rho,
                             seed=args.seed, dtype=args.dtype)
     train_cfg = TrainConfig(batch_size=args.batch_size, max_epochs=args.epochs,
@@ -171,6 +168,8 @@ def _grid_axes(spec: str) -> dict:
         except ValueError:
             raise ConfigError(f"bad grid entry {entry!r}; expected {key}=v1,v2 "
                               f"of type {types[key].__name__}") from None
+        for value in axes[key]:
+            ModelConfig(**{key: value})   # refuses out-of-range values
     if not axes:
         raise ConfigError("crossval needs --grid with at least one axis")
     return axes
@@ -245,7 +244,8 @@ def cmd_eval(args) -> int:
 
 # ------------------------------------------------------------------- wiring
 
-def build_parser() -> _Parser:
+def build_parser(train_defaults=None) -> _Parser:
+    """The CLI parser; ``train_defaults`` replaces train/crossval flag defaults."""
     parser = _Parser(prog="avmatch",
                      description="Coupled audio-visual stream matching toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -296,6 +296,7 @@ def build_parser() -> _Parser:
         p.add_argument("--max-shift", type=float, default=0.5)
         p.add_argument("--dtype", choices=("float32", "float64"), default="float32")
         p.add_argument("--allow-fps", action="store_true")
+        p.set_defaults(**(train_defaults or {}))
 
     tr = sub.add_parser("train", help="train a coupled model")
     add_train_flags(tr)
@@ -327,6 +328,9 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "config", None):
+            # the file's values become defaults, so flags given on the command line win
+            args = build_parser(_load_config_file(args.config)).parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"avmatch: {exc}", file=sys.stderr)

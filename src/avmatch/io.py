@@ -108,13 +108,10 @@ def read_frame_dir(path) -> list:
 
 # ---------------------------------------------------------------- cube files
 
-def write_cube(path, array) -> None:
-    data = array.data if hasattr(array, "data") and not isinstance(array, np.ndarray) else array
-    data = np.asarray(data)
-    header = CUBE_MAGIC + struct.pack("<HH", FORMAT_VERSION, data.ndim)
-    header += struct.pack(f"<{data.ndim}I", *data.shape)
-    payload = np.ascontiguousarray(data, dtype="<f4").tobytes()
-    Path(path).write_bytes(header + payload)
+def _pack_array(array: np.ndarray) -> bytes:
+    """The array record of cubes and checkpoint blobs: u16 rank, u32 extents, <f4 payload."""
+    return (struct.pack(f"<H{array.ndim}I", array.ndim, *array.shape)
+            + np.ascontiguousarray(array, dtype="<f4").tobytes())
 
 
 def _take(path, raw: bytes, pos: int, fmt: str):
@@ -126,31 +123,38 @@ def _take(path, raw: bytes, pos: int, fmt: str):
     return values, pos + struct.calcsize(fmt)
 
 
+def _take_array(path, raw: bytes, pos: int):
+    """Decode the array record at byte pos; returns (read-only array, next pos)."""
+    (rank,), pos = _take(path, raw, pos, "<H")
+    extents, pos = _take(path, raw, pos, f"<{rank}I")
+    (payload,), pos = _take(path, raw, pos, f"<{4 * int(np.prod(extents))}s")
+    return np.frombuffer(payload, dtype="<f4").reshape(extents), pos
+
+
+def write_cube(path, array) -> None:
+    data = array.data if hasattr(array, "data") and not isinstance(array, np.ndarray) else array
+    Path(path).write_bytes(CUBE_MAGIC + struct.pack("<H", FORMAT_VERSION)
+                           + _pack_array(np.asarray(data)))
+
+
 def read_cube(path) -> np.ndarray:
     raw = Path(path).read_bytes()
     if len(raw) < 8 or raw[:4] != CUBE_MAGIC:
         raise DataError(f"{path}: not a cube file")
-    (version, rank), _ = _take(path, raw, 4, "<HH")
+    (version,) = struct.unpack_from("<H", raw, 4)
     if version != FORMAT_VERSION:
         raise DataError(f"{path}: unsupported cube version {version}")
-    extents, offset = _take(path, raw, 8, f"<{rank}I")
-    count = int(np.prod(extents))
-    expected = offset + 4 * count
-    if len(raw) != expected:
-        raise DataError(f"{path}: payload length {len(raw) - offset} does not match "
-                        f"extents {extents}")
-    return np.frombuffer(raw[offset:], dtype="<f4").reshape(extents)
+    array, pos = _take_array(path, raw, 6)
+    if pos != len(raw):
+        raise DataError(f"{path}: {len(raw) - pos} unexpected bytes after the array")
+    return array
 
 
 # ---------------------------------------------------------------- checkpoints
 
 def _pack_blob(name: str, array: np.ndarray) -> bytes:
     encoded = name.encode()
-    out = struct.pack("<H", len(encoded)) + encoded
-    out += struct.pack("<H", array.ndim)
-    out += struct.pack(f"<{array.ndim}I", *array.shape)
-    out += np.ascontiguousarray(array, dtype="<f4").tobytes()
-    return out
+    return struct.pack("<H", len(encoded)) + encoded + _pack_array(array)
 
 
 def save_checkpoint(path, model: CoupledModel) -> None:
@@ -189,11 +193,9 @@ def load_checkpoint(path, dtype: str = "float32") -> CoupledModel:
     targets.update(model.named_buffers())
     for _ in range(n_blobs):
         (name_len,), pos = _take(path, raw, pos, "<H")
-        (name, rank), pos = _take(path, raw, pos, f"<{name_len}sH")
+        (name,), pos = _take(path, raw, pos, f"<{name_len}s")
         name = name.decode(errors="replace")
-        extents, pos = _take(path, raw, pos, f"<{rank}I")
-        (payload,), pos = _take(path, raw, pos, f"<{4 * int(np.prod(extents))}s")
-        arr = np.frombuffer(payload, dtype="<f4").reshape(extents)
+        arr, pos = _take_array(path, raw, pos)
         if not np.isfinite(arr).all():
             raise DataError(f"{path}: blob {name} holds non-finite values")
         target = targets.pop(name, None)

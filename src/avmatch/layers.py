@@ -140,16 +140,19 @@ class MaxPool3D(Layer):
         extents = _valid_extents(self, xb.data.shape[1:4])
 
         x_data = xb.data
-        # window view [N,T',H',W',C,kT,kH,kW]; reduction streams it without a copy
-        win = np.moveaxis(_window_view(x_data, self.kernel, self.stride), 7, 4)
-        out_data = win.max(axis=(5, 6, 7))
+        # one elementwise maximum per kernel offset; a reduction over the
+        # strided window view walks memory far less efficiently
+        slices = [index for _, index in _window_slices(self.kernel, self.stride, extents)]
+        out_data = x_data[slices[0]].copy()
+        for index in slices[1:]:
+            np.maximum(out_data, x_data[index], out=out_data)
 
         def bw(g):
             # route each window's gradient to its first maximum, sweeping the
             # window offsets in flat order so ties break on the lowest index
             gx = np.zeros(x_data.shape, dtype=g.dtype)
             remaining = np.ones(out_data.shape, dtype=bool)
-            for _, index in _window_slices(self.kernel, self.stride, extents):
+            for index in slices:
                 hit = (x_data[index] == out_data) & remaining
                 gx[index] += g * hit
                 remaining &= ~hit
@@ -176,11 +179,12 @@ class PReLU(Layer):
             raise ShapeError(f"{self.name}: expected {self.channels} channels, got {x_data.shape[-1]}")
         a = self.slope.data  # broadcasts over leading axes
         neg = x_data < 0
-        out_data = np.where(neg, a * x_data, x_data)
+        scale = np.where(neg, a, a.dtype.type(1))   # dy/dx: the slope, or 1
+        out_data = x_data * scale
         need_x = x.requires_grad
 
         def bw(g):
-            gx = np.where(neg, g * a, g) if need_x else None
+            gx = g * scale if need_x else None
             ga = (g * x_data * neg).reshape(-1, self.channels).sum(axis=0)
             return (gx, ga)
 
@@ -254,35 +258,44 @@ class BatchNorm(Layer):
                 raise ContractError(f"{self.name}: batch statistics need a batch of >= 2")
             axes = tuple(range(x_data.ndim - 1))
             mean = x_data.mean(axis=axes)
-            var = x_data.var(axis=axes)
+            x_hat = x_data - mean
+            var = np.square(x_hat).mean(axis=axes)   # the bits of x_data.var(axis=axes)
             if mode == "train":
                 self.running_mean += BN_MOMENTUM * (mean - self.running_mean)
                 self.running_var += BN_MOMENTUM * (var - self.running_var)
         else:
             mean, var = self.running_mean, self.running_var
+            x_hat = x_data - mean
 
         inv_std = 1.0 / np.sqrt(var + self.epsilon)
-        x_hat = (x_data - mean) * inv_std
+        x_hat *= inv_std
         gamma_data = self.gamma.data
-        out_data = gamma_data * x_hat + self.beta.data
+        out_data = x_hat * gamma_data
+        out_data += self.beta.data
         use_batch_stats = mode in ("train", "frozen")
         m = x_data.size // self.channels
         need_x = x.requires_grad
         ch_axes = tuple(range(x_data.ndim - 1))
 
         def bw(g):
-            gg = (g * x_hat).sum(axis=ch_axes)
+            # g has the output's dtype, the widest here, so these in-place
+            # steps round exactly as their out-of-place forms would
+            tmp = g * x_hat
+            gg = tmp.sum(axis=ch_axes)
             gb = g.sum(axis=ch_axes)
             gx = None
             if need_x:
-                gxh = g * gamma_data
+                gx = g * gamma_data
                 if use_batch_stats:
-                    # standard batch-stat backward (mean and var both depend on x)
-                    t1 = gxh.sum(axis=ch_axes)
-                    t2 = (gxh * x_hat).sum(axis=ch_axes)
-                    gx = inv_std * (gxh - (t1 + x_hat * t2) / m)
-                else:
-                    gx = gxh * inv_std
+                    # standard batch-stat backward (mean and var both depend on x):
+                    # inv_std * (g * gamma - (t1 + x_hat * t2) / m)
+                    t1 = gx.sum(axis=ch_axes)
+                    t2 = np.multiply(gx, x_hat, out=tmp).sum(axis=ch_axes)
+                    np.multiply(x_hat, t2, out=tmp)
+                    tmp += t1
+                    tmp /= m
+                    gx -= tmp
+                gx *= inv_std
             return (gx, gg, gb)
 
         return op_result(out_data, (x, self.gamma, self.beta), bw)

@@ -72,26 +72,16 @@ def rates_at(distances, labels, tau: float):
     return tpr, far, precision, tpr
 
 
-def _sweep(gen: np.ndarray, imp: np.ndarray):
-    """FAR/TPR arrays over thresholds: one below all distances, then each unique value."""
+def _sweep(distances, labels):
+    """Validated (TP, FA, n_gen, n_imp): cumulative counts at each unique distance, ascending."""
+    gen, imp = _split_scores(distances, labels)
     taus = np.unique(np.concatenate([gen, imp]))
     tp = np.searchsorted(np.sort(gen), taus, side="right")
     fa = np.searchsorted(np.sort(imp), taus, side="right")
-    tpr = np.concatenate([[0.0], tp / len(gen)])
-    far = np.concatenate([[0.0], fa / len(imp)])
-    return far, tpr, taus
+    return tp, fa, len(gen), len(imp)
 
 
-def roc_points(distances, labels):
-    gen, imp = _split_scores(distances, labels)
-    far, tpr, _ = _sweep(gen, imp)
-    return list(zip(far.tolist(), tpr.tolist()))
-
-
-def compute_eer(distances, labels) -> float:
-    """Rate where FAR equals FRR, linearly interpolated between sweep points."""
-    gen, imp = _split_scores(distances, labels)
-    far, tpr, _ = _sweep(gen, imp)
+def _eer(far: np.ndarray, tpr: np.ndarray) -> float:
     frr = 1.0 - tpr
     # far - frr goes from -1 (no matches) to +1 (everything matches)
     diff = far - frr
@@ -107,43 +97,55 @@ def compute_eer(distances, labels) -> float:
     return float(f1 + t * (f2 - f1))
 
 
+def metrics_from_scores(distances, labels) -> MetricsReport:
+    """EER, AUC, AP, ROC and PR read off one threshold sweep.
+
+    The ROC starts at a threshold below every distance, (0, 0). Each PR point
+    takes a tie group atomically; every swept threshold admits its own
+    distance, so precision is always defined.
+    """
+    tp, fa, n_gen, n_imp = _sweep(distances, labels)
+    far = np.concatenate([[0.0], fa / n_imp])
+    tpr = np.concatenate([[0.0], tp / n_gen])
+    recall = tp / n_gen
+    precision = tp / (tp + fa)
+    pr = list(zip(recall.tolist(), precision.tolist()))
+    ap = 0.0
+    prev_r = 0.0
+    for r, p in pr:
+        ap += (r - prev_r) * p
+        prev_r = r
+    return MetricsReport(
+        eer=_eer(far, tpr),
+        auc=float(np.trapezoid(tpr, far)),
+        ap=float(ap),
+        roc=list(zip(far.tolist(), tpr.tolist())),
+        pr=pr,
+        n_gen=n_gen,
+        n_imp=n_imp,
+    )
+
+
+def roc_points(distances, labels):
+    """(FAR, TPR) points, thresholds ascending."""
+    return metrics_from_scores(distances, labels).roc
+
+
+def compute_eer(distances, labels) -> float:
+    """Rate where FAR equals FRR, linearly interpolated between sweep points."""
+    return metrics_from_scores(distances, labels).eer
+
+
 def compute_auc(distances, labels) -> float:
     """Trapezoidal area under the ROC; equals P(d_gen < d_imp) + 0.5 P(tie)."""
-    gen, imp = _split_scores(distances, labels)
-    far, tpr, _ = _sweep(gen, imp)
-    return float(np.trapezoid(tpr, far))
+    return metrics_from_scores(distances, labels).auc
 
 
 def pr_points(distances, labels):
-    """(Recall, Precision) over ascending thresholds, tie groups taken atomically."""
-    gen, imp = _split_scores(distances, labels)
-    taus = np.unique(np.concatenate([gen, imp]))
-    tp = np.searchsorted(np.sort(gen), taus, side="right")
-    fa = np.searchsorted(np.sort(imp), taus, side="right")
-    recall = tp / len(gen)
-    precision = np.where((tp + fa) > 0, tp / np.maximum(tp + fa, 1), 1.0)
-    return list(zip(recall.tolist(), precision.tolist()))
+    """(Recall, Precision) points, thresholds ascending."""
+    return metrics_from_scores(distances, labels).pr
 
 
 def compute_ap(distances, labels) -> float:
     """Step-sum sum_i (R_i - R_{i-1}) * P_i over the PR points."""
-    pts = pr_points(distances, labels)
-    ap = 0.0
-    prev_r = 0.0
-    for r, p in pts:
-        ap += (r - prev_r) * p
-        prev_r = r
-    return float(ap)
-
-
-def metrics_from_scores(distances, labels) -> MetricsReport:
-    gen, imp = _split_scores(distances, labels)
-    return MetricsReport(
-        eer=compute_eer(distances, labels),
-        auc=compute_auc(distances, labels),
-        ap=compute_ap(distances, labels),
-        roc=roc_points(distances, labels),
-        pr=pr_points(distances, labels),
-        n_gen=len(gen),
-        n_imp=len(imp),
-    )
+    return metrics_from_scores(distances, labels).ap

@@ -185,10 +185,8 @@ class CoupledModel:
 
 def pair_distance(e_visual: Tensor, e_audio: Tensor) -> Tensor:
     """Euclidean distance between two embedding vectors (scalar tensor)."""
-    if e_visual.data.shape != e_audio.data.shape:
-        raise ShapeError(f"embedding length mismatch: {e_visual.data.shape} vs {e_audio.data.shape}")
-    diff = e_visual - e_audio
-    return ((diff * diff).sum() + DISTANCE_EPS).sqrt()
+    row = (1, -1)
+    return batch_distances(e_visual.reshape(row), e_audio.reshape(row)).reshape(())
 
 
 def batch_distances(e_visual: Tensor, e_audio: Tensor) -> Tensor:

@@ -90,6 +90,10 @@ class PairGenStats:
 
 
 def _shift_choices(cfg: PairConfig):
+    """Inclusive range of whole feature hops an impostor shift is drawn from."""
+    if cfg.fixed_shift_s is not None:
+        hops = round(cfg.fixed_shift_s / FEATURE_HOP_S)
+        return hops, hops
     lo = int(np.ceil(round(cfg.min_shift_s / FEATURE_HOP_S, 9)))
     hi = int(np.floor(round(cfg.max_shift_s / FEATURE_HOP_S, 9)))
     return lo, hi
@@ -130,10 +134,7 @@ def generate_pairs(clips, cfg: PairConfig | None = None, seed: int = 0):
 
             n_imp = int(round(cfg.impostor_ratio))
             for _ in range(n_imp):
-                if cfg.fixed_shift_s is not None:
-                    shift = round(cfg.fixed_shift_s / FEATURE_HOP_S) * FEATURE_HOP_S
-                else:
-                    shift = int(rng.integers(lo_hop, hi_hop + 1)) * FEATURE_HOP_S
+                shift = int(rng.integers(lo_hop, hi_hop + 1)) * FEATURE_HOP_S
                 if start + shift + WINDOW_S > audio_dur + 1e-9:
                     stats.skipped += 1
                     continue

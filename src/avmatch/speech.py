@@ -9,7 +9,7 @@ the cepstral variant is available for baseline comparisons.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import dct, idct
@@ -56,7 +56,6 @@ class SpeechConfig:
     f_low: float = 0.0
     f_high: float | None = None   # defaults to sample_rate / 2
     window_fn: str = "hamming"    # or "rect"
-    delta_window: int = 2
     n_coeffs: int = 13            # cepstral variant only
 
     def resolved_f_high(self, rate: int) -> float:
@@ -226,6 +225,6 @@ def build_speech_cube(clip: AudioClip, cfg: SpeechConfig | None = None,
     static = mfec_matrix(clip, cfg)
     if cepstral:
         static = mfcc_from_mfec(static, cfg.n_coeffs)
-    delta, delta_delta = temporal_derivatives(static, cfg.delta_window)
+    delta, delta_delta = temporal_derivatives(static)
     cube = np.stack([static, delta, delta_delta], axis=-1)
     return SpeechCube(values=standardize(cube), clip_id=clip_id, start_s=start_s)

@@ -20,6 +20,12 @@ from scipy.ndimage import gaussian_filter1d
 
 from .errors import ConfigError
 from .io import write_pgm, write_wav
+from .visual import TARGET_H, TARGET_W
+
+SAMPLE_RATE = 16000
+FPS = 30
+ENVELOPE_SIGMA_S = 0.06   # smoothing width; sets decorrelation speed
+NOISE_LEVEL = 0.01
 
 
 @dataclass
@@ -27,12 +33,6 @@ class SynthConfig:
     n_subjects: int = 8
     clips_per_subject: int = 4
     clip_s: float = 2.0
-    sample_rate: int = 16000
-    fps: int = 30
-    frame_h: int = 60
-    frame_w: int = 100
-    envelope_sigma_s: float = 0.06   # smoothing width; sets decorrelation speed
-    noise_level: float = 0.01
 
     def __post_init__(self):
         if self.n_subjects < 1 or self.clips_per_subject < 1:
@@ -51,29 +51,30 @@ def envelope(n_samples: int, sample_rate: int, sigma_s: float, rng) -> np.ndarra
     return np.clip(0.5 + 0.28 * smooth, 0.03, 0.97)
 
 
-def _render_frame(env_value: float, texture: np.ndarray, rng,
-                  h: int, w: int, noise_level: float) -> np.ndarray:
+def _render_frame(env_value: float, texture: np.ndarray, rng) -> np.ndarray:
+    h, w = texture.shape
     rows = np.arange(h)[:, None] - h / 2.0
     cols = np.arange(w)[None, :] - w / 2.0
     opening = 2.0 + 0.42 * h * env_value
     mask = (rows / opening) ** 2 + (cols / (0.36 * w)) ** 2 <= 1.0
     frame = texture + 25.0
     frame = np.where(mask, 60.0 + 180.0 * env_value, frame)
-    frame = frame + rng.normal(0.0, 255.0 * noise_level, size=frame.shape)
+    frame = frame + rng.normal(0.0, 255.0 * NOISE_LEVEL, size=frame.shape)
     return np.clip(frame, 0, 255)
 
 
 def generate_corpus(out_dir, cfg: SynthConfig | None = None, seed: int = 0) -> Path:
     """Write WAV + PGM clips and a manifest; returns the manifest path.
 
-    Bitwise deterministic for a given (config, seed).
+    Clips are 16 kHz mono WAVs and 30 f/s 60x100 PGM frames. Bitwise
+    deterministic for a given (config, seed).
     """
     cfg = cfg or SynthConfig()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    n_samples = int(round(cfg.clip_s * cfg.sample_rate))
-    n_frames = int(round(cfg.clip_s * cfg.fps))
-    t = np.arange(n_samples) / cfg.sample_rate
+    n_samples = int(round(cfg.clip_s * SAMPLE_RATE))
+    n_frames = int(round(cfg.clip_s * FPS))
+    t = np.arange(n_samples) / SAMPLE_RATE
 
     manifest_rows = []
     for subj in range(cfg.n_subjects):
@@ -81,30 +82,29 @@ def generate_corpus(out_dir, cfg: SynthConfig | None = None, seed: int = 0) -> P
         subj_rng = np.random.default_rng([seed, subj])
         carrier_hz = float(subj_rng.uniform(500.0, 2600.0))
         texture = gaussian_filter1d(
-            gaussian_filter1d(subj_rng.standard_normal((cfg.frame_h, cfg.frame_w)),
+            gaussian_filter1d(subj_rng.standard_normal((TARGET_H, TARGET_W)),
                               4.0, axis=0), 4.0, axis=1) * 40.0
 
         for clip in range(cfg.clips_per_subject):
             rng = np.random.default_rng([seed, subj, clip])
-            env = envelope(n_samples, cfg.sample_rate, cfg.envelope_sigma_s, rng)
+            env = envelope(n_samples, SAMPLE_RATE, ENVELOPE_SIGMA_S, rng)
             audio = (0.12 + 0.75 * env) * np.sin(2 * np.pi * carrier_hz * t)
-            audio = audio + cfg.noise_level * rng.standard_normal(n_samples)
+            audio = audio + NOISE_LEVEL * rng.standard_normal(n_samples)
 
             clip_dir = out_dir / subject_id / f"clip{clip:02d}"
             frames_dir = clip_dir / "frames"
             frames_dir.mkdir(parents=True, exist_ok=True)
-            write_wav(clip_dir / "audio.wav", audio * 0.8, cfg.sample_rate)
+            write_wav(clip_dir / "audio.wav", audio * 0.8, SAMPLE_RATE)
             for i in range(n_frames):
-                sample_idx = min(int(round(i / cfg.fps * cfg.sample_rate)), n_samples - 1)
-                frame = _render_frame(env[sample_idx], texture, rng,
-                                      cfg.frame_h, cfg.frame_w, cfg.noise_level)
+                sample_idx = min(int(round(i / FPS * SAMPLE_RATE)), n_samples - 1)
+                frame = _render_frame(env[sample_idx], texture, rng)
                 write_pgm(frames_dir / f"frame{i:04d}.pgm", frame)
             manifest_rows.append({
                 "subject_id": subject_id,
                 "audio_path": str((clip_dir / "audio.wav").relative_to(out_dir)),
                 "frames_dir": str(frames_dir.relative_to(out_dir)),
-                "fps": cfg.fps,
-                "sample_rate": cfg.sample_rate,
+                "fps": FPS,
+                "sample_rate": SAMPLE_RATE,
             })
 
     manifest = out_dir / "manifest.csv"

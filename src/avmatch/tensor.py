@@ -47,22 +47,31 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
-    # Elementwise arithmetic. Tensor operands must match shapes exactly;
-    # plain numbers act as scalars (no general broadcasting).
+    # Elementwise arithmetic. Backward rules return (grad self, grad other);
+    # a plain-number operand is no input, so backward drops its gradient.
     def __add__(self, other):
-        return _elementwise_binary(self, other, "add")
+        inputs, b = _operand(self, other)
+        return op_result(self.data + b, inputs, lambda g: (g, g))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return _elementwise_binary(self, other, "sub")
+        inputs, b = _operand(self, other)
+        return op_result(self.data - b, inputs, lambda g: (g, -g))
 
     def __rsub__(self, other):
         # scalar - tensor
-        return _elementwise_binary(self, other, "rsub")
+        inputs, b = _operand(self, other)
+        return op_result(b - self.data, inputs, lambda g: (-g, g))
 
     def __mul__(self, other):
-        return _elementwise_binary(self, other, "mul")
+        inputs, b = _operand(self, other)
+        a = self.data
+
+        def bw(g):
+            return (g * b, g * a) if len(inputs) == 2 else (g * b,)
+
+        return op_result(a * b, inputs, bw)
 
     __rmul__ = __mul__
 
@@ -190,43 +199,14 @@ def create(shape, fill=0.0, seed: int | None = None, dtype=np.float64,
     return Tensor(data, requires_grad=requires_grad)
 
 
-def _elementwise_binary(a: Tensor, b, op: str) -> Tensor:
-    if isinstance(b, Tensor):
-        if a.data.shape != b.data.shape:
-            raise ShapeError(f"elementwise shape mismatch: {a.data.shape} vs {b.data.shape}")
-        inputs, bv = (a, b), b.data
-    else:
-        inputs, bv = (a,), a.dtype.type(b)
-    a_data = a.data
-
-    # rules return (grad a, grad b); a scalar b is no input, so backward drops grad b
-    if op == "add":
-        out_data = a_data + bv
-
-        def bw(g):
-            return (g, g)
-
-    elif op == "sub":
-        out_data = a_data - bv
-
-        def bw(g):
-            return (g, -g)
-
-    elif op == "rsub":
-        out_data = bv - a_data
-
-        def bw(g):
-            return (-g, g)
-
-    elif op == "mul":
-        out_data = a_data * bv
-
-        def bw(g):
-            return (g * bv, g * a_data) if len(inputs) == 2 else (g * bv,)
-
-    else:  # pragma: no cover
-        raise ContractError(f"unknown elementwise op {op!r}")
-    return op_result(out_data, inputs, bw)
+def _operand(a: Tensor, b):
+    """(inputs, value) for a second operand: a tensor of a's exact shape, or a
+    plain number taken as a scalar of a's dtype (no general broadcasting)."""
+    if not isinstance(b, Tensor):
+        return (a,), a.dtype.type(b)
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"elementwise shape mismatch: {a.data.shape} vs {b.data.shape}")
+    return (a, b), b.data
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

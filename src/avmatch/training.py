@@ -59,7 +59,6 @@ class TrainConfig:
     optimizer: str = "sgdm"       # or "adam"
     seed: int = 0
     selection: SelectionConfig = field(default_factory=SelectionConfig)
-    early_stop: bool = True       # stop after 2 consecutive validation EER increases
 
     def __post_init__(self):
         if self.batch_size < 2:
@@ -242,18 +241,16 @@ def fit(model: CoupledModel, train_data: PackedPairs, cfg: TrainConfig,
     prev_eer = None
     for epoch in range(cfg.max_epochs):
         stats = train_epoch(model, train_data, cfg, epoch, optimizer)
-        if val_data is not None:
-            d, y = scores(model, val_data)
-            stats.val_eer = compute_eer(d, y)
         history.append(stats)
-        if val_data is not None and cfg.early_stop:
-            if prev_eer is not None and stats.val_eer > prev_eer:
-                rising += 1
-            elif prev_eer is not None:
-                rising = 0
-            prev_eer = stats.val_eer
-            if rising >= 2:
-                return FitResult(history=history, stopped_early=True)
+        if val_data is None:
+            continue
+        d, y = scores(model, val_data)
+        stats.val_eer = compute_eer(d, y)
+        if prev_eer is not None:
+            rising = rising + 1 if stats.val_eer > prev_eer else 0
+        prev_eer = stats.val_eer
+        if rising >= 2:
+            return FitResult(history=history, stopped_early=True)
     return FitResult(history=history)
 
 
@@ -313,7 +310,7 @@ def cross_validate(data: PackedPairs, grid, model_cfg: ModelConfig,
         raise ConfigError(f"unknown hyperparameter {min(unknown)!r}")
     factory = model_factory or (lambda mc: CoupledModel(mc))
     plan = split_folds(data.subjects.tolist(), k=k, seed=train_cfg.seed)
-    tc = replace(train_cfg, selection=SelectionConfig(enabled=False), early_stop=False)
+    tc = replace(train_cfg, selection=SelectionConfig(enabled=False))
     table = []
     for point in grid:
         fold_eers = []

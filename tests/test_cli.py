@@ -247,6 +247,17 @@ class TestTrainEvalCommands:
         assert lines[0] == "epoch,loss,selection_rate,val_EER"
         assert len(lines) == 2
 
+    def test_flag_beats_config_file(self, corpus, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("epochs=3\nzeta=8\n")
+        stats = tmp_path / "stats.csv"
+        rc = main(["train", "--manifest", str(corpus), "--out", str(tmp_path / "c.avck"),
+                   "--stats", str(stats), "--epochs", "1", "--batch-size", "8",
+                   "--config", str(cfg)])
+        assert rc == EXIT_OK
+        assert len(stats.read_text().strip().splitlines()) == 2   # header + one epoch
+        assert avio.load_checkpoint(tmp_path / "c.avck").config.zeta == 8
+
     def test_train_deterministic_checkpoints(self, corpus, tmp_path):
         blobs = []
         for name in ("r1.avck", "r2.avck"):
@@ -310,7 +321,8 @@ class TestMalformedValues:
         assert "'ten' for epochs" in capsys.readouterr().err
 
     @pytest.mark.parametrize("grid", ["mu=abc", "zeta=8.5", "mu=1.0;zeta=", "bogus=1",
-                                      "eta0=0.1,0.9"])
+                                      "eta0=0.1,0.9", "mu=-1", "rho=1.0", "zeta=0",
+                                      "dtype=float16"])
     def test_bad_grid_is_usage_error_before_the_manifest_is_read(self, tmp_path, grid):
         rc = main(["crossval", "--manifest", str(tmp_path / "missing.csv"), "--grid", grid,
                    "--out", str(tmp_path / "cv.json")])

@@ -116,6 +116,13 @@ class TestCubeFile:
         with pytest.raises(DataError):
             avio.read_cube(path)
 
+    def test_trailing_bytes_refused(self, tmp_path):
+        path = tmp_path / "long.avcb"
+        avio.write_cube(path, np.zeros((4, 4), dtype=np.float32))
+        path.write_bytes(path.read_bytes() + bytes(6))
+        with pytest.raises(DataError, match="6 unexpected bytes"):
+            avio.read_cube(path)
+
 
 @pytest.fixture(scope="module")
 def model():

@@ -66,6 +66,11 @@ def maxpool_oracle(x, kernel, stride):
     return out
 
 
+def assert_same_bits(actual, expected):
+    assert actual.dtype == expected.dtype
+    assert actual.tobytes() == expected.tobytes()
+
+
 class TestShapeLaw:
     @pytest.mark.parametrize("kind,in_shape,out_ch,kernel,stride,expected",
                              VISUAL_ROWS + AUDIO_ROWS)
@@ -224,6 +229,23 @@ class TestPReLU:
 
         check_op_gradients(build, [x, layer.slope], context=f"prelu seed {seed}")
 
+    def test_bits_of_the_where_formulas(self):
+        rng = np.random.default_rng(4)
+        layer = PReLU(3, dtype=np.float32)
+        layer.slope.data[:] = [0.25, -0.5, 1.5]
+        x_np = rng.standard_normal((4, 5, 3)).astype(np.float32)
+        x_np[0, 0] = [0.0, -0.0, -1e-30]
+        g = rng.standard_normal(x_np.shape).astype(np.float32)
+        a, neg = layer.slope.data, x_np < 0
+
+        x = Tensor(x_np, requires_grad=True)
+        with Tape() as tape:
+            out = layer.forward(x)
+            loss = (out * Tensor(g)).sum()
+        backward(loss, tape)
+        assert_same_bits(out.data, np.where(neg, a * x_np, x_np))
+        assert_same_bits(x.grad, np.where(neg, g * a, g))
+
 
 class TestDense:
     def test_visual_fc_sizes(self):
@@ -331,6 +353,44 @@ class TestBatchNorm:
 
         check_op_gradients(build, [x, layer.gamma, layer.beta],
                            context=f"batchnorm seed {seed}")
+
+    @pytest.mark.parametrize("mode", ["train", "infer"])
+    def test_bits_of_the_plain_formulas(self, mode):
+        # the in-place forward and backward must round exactly like the
+        # out-of-place textbook expressions
+        rng = np.random.default_rng(9)
+        layer = BatchNorm(4, dtype=np.float32)
+        layer.gamma.data[:] = rng.standard_normal(4)
+        layer.beta.data[:] = rng.standard_normal(4)
+        layer.running_var[:] = rng.random(4) + 0.5
+        x_np = (rng.standard_normal((6, 3, 5, 2, 4)) * 3.0 + 1.0).astype(np.float32)
+        g = rng.standard_normal(x_np.shape).astype(np.float32)
+        axes, m = (0, 1, 2, 3), x_np.size // 4
+        if mode == "train":
+            mean, var = x_np.mean(axis=axes), x_np.var(axis=axes)
+            running_var = layer.running_var + 0.1 * (var - layer.running_var)
+        else:
+            mean, var = layer.running_mean.copy(), layer.running_var.copy()
+            running_var = var
+        inv_std = 1.0 / np.sqrt(var + layer.epsilon)
+        x_hat = (x_np - mean) * inv_std
+        gxh = g * layer.gamma.data
+        if mode == "train":
+            gx = inv_std * (gxh - (gxh.sum(axis=axes) + x_hat * (gxh * x_hat).sum(axis=axes)) / m)
+        else:
+            gx = gxh * inv_std
+        expected = layer.gamma.data * x_hat + layer.beta.data
+
+        x = Tensor(x_np, requires_grad=True)
+        with Tape() as tape:
+            out = layer.forward(x, mode=mode)
+            loss = (out * Tensor(g)).sum()
+        backward(loss, tape)
+        assert_same_bits(out.data, expected)
+        assert_same_bits(x.grad, gx)
+        assert_same_bits(layer.gamma.grad, (g * x_hat).sum(axis=axes))
+        assert_same_bits(layer.beta.grad, g.sum(axis=axes))
+        assert_same_bits(layer.running_var, running_var)
 
 
 class TestDropout:

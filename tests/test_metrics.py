@@ -181,3 +181,16 @@ class TestInvariances:
         assert report.n_gen == int(np.sum(y == 1))
         assert report.n_imp == int(np.sum(y == 0))
         assert len(report.pr) == len(pr_points(d, y))
+
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_single_metric_functions_are_report_fields(self, ties):
+        d, y = random_scores(17, n=90)
+        if ties:
+            d = np.round(d, 1)
+        assert (len(np.unique(d)) < len(d)) == ties
+        report = metrics_from_scores(d, y)
+        assert compute_eer(d, y) == report.eer
+        assert compute_auc(d, y) == report.auc
+        assert compute_ap(d, y) == report.ap
+        assert roc_points(d, y) == report.roc
+        assert pr_points(d, y) == report.pr
