@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dct, idct
 
 from .errors import ConfigError, DataError
 from .tensor import Tensor
@@ -161,10 +160,12 @@ def mfcc_from_mfec(mfec: np.ndarray, n_coeffs: int = 13) -> np.ndarray:
     mfec = np.asarray(mfec, dtype=np.float64)
     if n_coeffs > mfec.shape[-1]:
         raise ConfigError(f"n_coeffs {n_coeffs} exceeds {mfec.shape[-1]} filter channels")
+    from scipy.fft import dct   # imported here so that commands without --mfcc skip scipy.fft
     return dct(mfec, type=2, norm="ortho", axis=-1)[..., :n_coeffs]
 
 
 def inverse_mfcc(coeffs: np.ndarray) -> np.ndarray:
+    from scipy.fft import idct
     return idct(np.asarray(coeffs, dtype=np.float64), type=2, norm="ortho", axis=-1)
 
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import gaussian_filter1d
 
 from .errors import ConfigError
 from .io import write_pgm, write_wav
@@ -43,6 +42,7 @@ class SynthConfig:
 
 def envelope(n_samples: int, sample_rate: int, sigma_s: float, rng) -> np.ndarray:
     """Smooth random activity profile in (0, 1)."""
+    from scipy.ndimage import gaussian_filter1d   # imported here: only the generator needs it
     noise = rng.standard_normal(n_samples)
     smooth = gaussian_filter1d(noise, sigma=sigma_s * sample_rate, mode="reflect")
     std = smooth.std()
@@ -69,6 +69,7 @@ def generate_corpus(out_dir, cfg: SynthConfig | None = None, seed: int = 0) -> P
     Clips are 16 kHz mono WAVs and 30 f/s 60x100 PGM frames. Bitwise
     deterministic for a given (config, seed).
     """
+    from scipy.ndimage import gaussian_filter1d
     cfg = cfg or SynthConfig()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

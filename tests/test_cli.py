@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import avmatch
 from avmatch import io as avio
 from avmatch.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from avmatch.model import CoupledModel, ModelConfig
@@ -16,6 +21,18 @@ def corpus(tmp_path_factory):
     cfg = SynthConfig(n_subjects=3, clips_per_subject=2, clip_s=1.2)
     manifest = generate_corpus(root, cfg, seed=3)
     return manifest
+
+
+def test_import_skips_scipy_modules_of_single_commands():
+    # scipy.fft serves only --mfcc and scipy.ndimage only the corpus generator
+    src = str(Path(avmatch.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, avmatch.cli; "
+            "print(sorted(m for m in ('scipy.fft', 'scipy.ndimage') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 class TestSynthCommand:

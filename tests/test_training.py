@@ -8,7 +8,7 @@ from avmatch.pairs import SelectionConfig
 from avmatch.tensor import Tensor
 from avmatch.training import (PackedPairs, TrainConfig, cross_validate,
                               evaluate_run, fit, frozen_distances,
-                              make_optimizer, pack_pairs, param_grid,
+                              make_optimizer, pack_pairs, param_grid, scores,
                               split_folds, train_epoch)
 
 from minimodel import MINI_AUDIO_SHAPE, MINI_VISUAL_SHAPE, build_mini_model
@@ -160,6 +160,83 @@ class TestEarlyStop:
         model = build_mini_model()
         result = fit(model, data, mini_train_cfg(max_epochs=3))
         assert len(result.history) == 3 and not result.stopped_early
+
+
+def repeated_cubes(visual_idx, speech_idx, seed=0):
+    """Packed pairs whose visual and speech cubes are picked from small pools."""
+    rng = np.random.default_rng(seed)
+    xv = rng.standard_normal((max(visual_idx) + 1,) + MINI_VISUAL_SHAPE)
+    xa = rng.standard_normal((max(speech_idx) + 1,) + MINI_AUDIO_SHAPE)
+    n = len(visual_idx)
+    return PackedPairs(speech=xa[speech_idx], visual=xv[visual_idx], labels=np.arange(n) % 2,
+                       subjects=np.array(["s0"] * n, dtype=object), shifts=np.zeros(n))
+
+
+def embedded_batches(model, monkeypatch):
+    """Record the cubes of every embed call, per stream."""
+    batches = {"visual": [], "audio": []}
+    for stream, log in batches.items():
+        original = getattr(model, f"embed_{stream}")
+
+        def recording(cube, mode="infer", rng=None, original=original, log=log):
+            log.append(np.array(cube))
+            return original(cube, mode=mode, rng=rng)
+
+        monkeypatch.setattr(model, f"embed_{stream}", recording)
+    return batches
+
+
+def row_bytes(cubes):
+    return sorted(row.tobytes() for row in cubes)
+
+
+class TestScores:
+    def test_each_distinct_cube_embedded_once(self, monkeypatch):
+        visual_idx = np.arange(24) % 5
+        speech_idx = np.random.default_rng(1).permutation(np.arange(24) % 4)
+        data = repeated_cubes(visual_idx, speech_idx)
+        model = build_mini_model()
+        batches = embedded_batches(model, monkeypatch)
+        scores(model, data)
+        assert row_bytes(np.concatenate(batches["visual"])) == row_bytes(np.unique(data.visual, axis=0))
+        assert row_bytes(np.concatenate(batches["audio"])) == row_bytes(np.unique(data.speech, axis=0))
+
+    def test_one_element_apart_is_not_merged(self, monkeypatch):
+        data = repeated_cubes(np.zeros(4, int), np.zeros(4, int))
+        data.visual[1, 0, 0, 0, 0] += 1.0
+        data.speech[3, -1, -1, -1] = np.nextafter(data.speech[3, -1, -1, -1], np.inf)
+        model = build_mini_model()
+        batches = embedded_batches(model, monkeypatch)
+        d, _ = scores(model, data)
+        assert sum(map(len, batches["visual"])) == 2
+        assert sum(map(len, batches["audio"])) == 2
+        assert d[0] == d[2] and d[0] != d[1]
+
+    def test_matches_one_batch_and_repeats_exactly(self):
+        visual_idx = np.arange(30) % 6
+        speech_idx = np.arange(30) // 6 % 2
+        data = repeated_cubes(visual_idx, speech_idx, seed=2)
+        model = build_mini_model()
+        d, y = scores(model, data)
+        reference = training._distances(model, data.speech, data.visual, "infer").data
+        np.testing.assert_allclose(d, reference, rtol=1e-6)
+        np.testing.assert_array_equal(y, data.labels)
+        for i in range(30):
+            same = (visual_idx == visual_idx[i]) & (speech_idx == speech_idx[i])
+            assert same.sum() > 1 and np.all(d[same] == d[i])
+
+    def test_balanced_chunks(self, monkeypatch):
+        data = repeated_cubes(np.arange(34) % 17, np.zeros(34, int))
+        model = build_mini_model()
+        batches = embedded_batches(model, monkeypatch)
+        scores(model, data)
+        assert [len(b) for b in batches["visual"]] == [9, 8]
+        assert all(len(b) <= training.SCORE_BATCH for b in batches["visual"])
+
+    def test_empty_set(self):
+        data = repeated_cubes(np.arange(4), np.arange(4))
+        d, y = scores(build_mini_model(), data.subset(np.zeros(len(data), bool)))
+        assert d.shape == (0,) and y.shape == (0,)
 
 
 class _StubModel:
