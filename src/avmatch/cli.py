@@ -97,6 +97,7 @@ def _check_folds(folds: int) -> None:
 # ------------------------------------------------------------------- commands
 
 def cmd_features_audio(args) -> int:
+    cfg = SpeechConfig(cepstral=args.mfcc)
     if args.manifest:
         rows = avio.load_manifest(args.manifest, allow_fps=args.allow_fps)
         out_dir = Path(args.out_dir or ".")
@@ -104,7 +105,7 @@ def cmd_features_audio(args) -> int:
         failures = 0
         for i, row in enumerate(rows):
             try:
-                cube = build_speech_cube(_row_audio(row), SpeechConfig(), cepstral=args.mfcc)
+                cube = build_speech_cube(_row_audio(row), cfg)
                 avio.write_cube(out_dir / f"{row.subject_id}_{i:04d}.avcb", cube.values)
             except AvMatchError as exc:
                 failures += 1
@@ -114,7 +115,7 @@ def cmd_features_audio(args) -> int:
         raise ConfigError("features audio needs --in/--out or --manifest")
 
     clip = avio.read_wav(args.infile)
-    cube = build_speech_cube(clip, SpeechConfig(), cepstral=args.mfcc)
+    cube = build_speech_cube(clip, cfg)
     avio.write_cube(args.out, cube.values)
     return EXIT_OK
 
@@ -124,6 +125,9 @@ def cmd_features_video(args) -> int:
         stack = avio.read_cube(args.cube)
         if stack.ndim != 3:
             raise DataError(f"{args.cube}: packed frames must be rank-3 [n, h, w]")
+        bad = np.flatnonzero(~np.isfinite(stack).all(axis=(1, 2)))
+        if bad.size:
+            raise DataError(f"{args.cube}: packed frame {bad[0]} holds non-finite values")
         frames = list(stack.astype(np.float64))
     elif args.frames:
         frames = avio.read_frame_dir(args.frames)
@@ -270,31 +274,34 @@ def build_parser(train_defaults=None) -> _Parser:
     fv.add_argument("--out", required=True)
     fv.set_defaults(func=cmd_features_video)
 
+    synth = SynthConfig()
     sy = sub.add_parser("synth", help="generate a synthetic fixture corpus")
     sy.add_argument("--out", required=True)
-    sy.add_argument("--subjects", type=int, default=8)
-    sy.add_argument("--clips", type=int, default=4)
-    sy.add_argument("--clip-seconds", type=float, default=2.0)
+    sy.add_argument("--subjects", type=int, default=synth.n_subjects)
+    sy.add_argument("--clips", type=int, default=synth.clips_per_subject)
+    sy.add_argument("--clip-seconds", type=float, default=synth.clip_s)
     sy.add_argument("--seed", type=int, default=0)
     sy.set_defaults(func=cmd_synth)
+
+    model, train, pair = ModelConfig(), TrainConfig(), PairConfig()
 
     def add_train_flags(p):
         p.add_argument("--manifest", required=True)
         p.add_argument("--config", help="key=value overrides file")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--epochs", type=int, default=15)
-        p.add_argument("--batch-size", dest="batch_size", type=int, default=32)
-        p.add_argument("--lr", type=float, default=1e-3)
-        p.add_argument("--optimizer", choices=("sgdm", "adam"), default="sgdm")
-        p.add_argument("--zeta", type=int, default=64)
-        p.add_argument("--mu", type=float, default=1.0)
-        p.add_argument("--lam", type=float, default=1e-4)
-        p.add_argument("--rho", type=float, default=0.5)
-        p.add_argument("--eta0", type=float, default=0.5)
+        p.add_argument("--seed", type=int, default=train.seed)
+        p.add_argument("--epochs", type=int, default=train.max_epochs)
+        p.add_argument("--batch-size", dest="batch_size", type=int, default=train.batch_size)
+        p.add_argument("--lr", type=float, default=train.learning_rate)
+        p.add_argument("--optimizer", choices=("sgdm", "adam"), default=train.optimizer)
+        p.add_argument("--zeta", type=int, default=model.zeta)
+        p.add_argument("--mu", type=float, default=model.mu)
+        p.add_argument("--lam", type=float, default=model.lam)
+        p.add_argument("--rho", type=float, default=model.rho)
+        p.add_argument("--eta0", type=float, default=train.selection.eta0)
         p.add_argument("--no-selection", action="store_true")
-        p.add_argument("--min-shift", type=float, default=0.1)
-        p.add_argument("--max-shift", type=float, default=0.5)
-        p.add_argument("--dtype", choices=("float32", "float64"), default="float32")
+        p.add_argument("--min-shift", type=float, default=pair.min_shift_s)
+        p.add_argument("--max-shift", type=float, default=pair.max_shift_s)
+        p.add_argument("--dtype", choices=("float32", "float64"), default=model.dtype)
         p.add_argument("--allow-fps", action="store_true")
         p.set_defaults(**(train_defaults or {}))
 

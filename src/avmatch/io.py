@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,7 +33,10 @@ CKPT_HEADER = "<Idddq32sI"
 # ---------------------------------------------------------------- audio / video
 
 def read_wav(path) -> AudioClip:
-    """Load a mono PCM WAV (16-bit integer or 32-bit float, little-endian)."""
+    """Load a mono PCM WAV (16-bit integer or 32-bit float, little-endian).
+
+    A NaN or infinite float sample is a DataError naming its time.
+    """
     try:
         rate, data = wavfile.read(path)
     except Exception as exc:
@@ -43,6 +47,9 @@ def read_wav(path) -> AudioClip:
         samples = data.astype(np.float64) / 32768.0
     elif data.dtype == np.float32:
         samples = data.astype(np.float64)
+        bad = np.flatnonzero(~np.isfinite(samples))
+        if bad.size:
+            raise DataError(f"{path}: non-finite sample at {bad[0] / rate:.6f} s")
     else:
         raise DataError(f"{path}: unsupported sample format {data.dtype}")
     return AudioClip(samples=samples, sample_rate=int(rate))
@@ -158,12 +165,15 @@ def _pack_blob(name: str, array: np.ndarray) -> bytes:
 
 
 def save_checkpoint(path, model: CoupledModel) -> None:
+    """Write the model; a state holding NaN or inf is refused before any byte is written."""
     cfg = model.config
     blobs = [(name, p.data) for name, p in model.named_parameters()]
     blobs += [(name, b) for name, b in model.named_buffers()]
     body = struct.pack(CKPT_HEADER, cfg.zeta, cfg.mu, cfg.lam, cfg.rho, cfg.seed,
                        model.spec_digest(), len(blobs))
     for name, arr in blobs:
+        if not np.isfinite(arr).all():
+            raise DataError(f"{path}: blob {name} holds non-finite values; refusing to save")
         body += _pack_blob(name, arr)
     Path(path).write_bytes(CKPT_MAGIC + struct.pack("<H", FORMAT_VERSION) + body)
 
@@ -184,7 +194,10 @@ def load_checkpoint(path, dtype: str = "float32") -> CoupledModel:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
     (zeta, mu, lam, rho, seed, digest, n_blobs), pos = _take(path, raw, 6, CKPT_HEADER)
 
-    cfg = ModelConfig(zeta=zeta, mu=mu, lam=lam, rho=rho, seed=seed, dtype=dtype)
+    try:
+        cfg = ModelConfig(zeta=zeta, mu=mu, lam=lam, rho=rho, seed=seed, dtype=dtype)
+    except ConfigError as exc:
+        raise DataError(f"{path}: bad stored configuration: {exc}") from None
     model = CoupledModel(cfg)
     if model.spec_digest() != digest:
         raise DataError(f"{path}: architecture digest mismatch; refusing to load")
@@ -226,11 +239,17 @@ class ManifestRow:
 REQUIRED_COLUMNS = ("subject_id", "audio_path", "frames_dir")
 
 
+def _or_default(record: dict, key: str, default):
+    """The record's value, or ``default`` when the field is absent or blank (not when 0)."""
+    value = record.get(key)
+    return default if value is None or value == "" else value
+
+
 def load_manifest(path, allow_fps: bool = False) -> list:
     """Read a dataset manifest (CSV with header, or JSONL).
 
     Relative paths resolve against the manifest's directory and must exist.
-    Frame rate must be 30 f/s unless ``allow_fps`` is set.
+    Frame rate must be finite and > 0, and 30 f/s unless ``allow_fps`` is set.
     """
     path = Path(path)
     if not path.exists():
@@ -258,11 +277,13 @@ def load_manifest(path, allow_fps: bool = False) -> list:
                 subject_id=str(rec["subject_id"]),
                 audio_path=base / rec["audio_path"],
                 frames_dir=base / rec["frames_dir"],
-                fps=float(rec.get("fps", 30.0) or 30.0),
-                sample_rate=int(rec.get("sample_rate", 16000) or 16000),
+                fps=float(_or_default(rec, "fps", ManifestRow.fps)),
+                sample_rate=int(_or_default(rec, "sample_rate", ManifestRow.sample_rate)),
             )
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}: bad manifest record {i}: {exc}") from exc
+        if not 0 < row.fps < math.inf:
+            raise DataError(f"{path}: record {i} has fps {row.fps}; need a finite rate > 0")
         if row.fps != 30.0 and not allow_fps:
             raise ConfigError(f"{path}: record {i} has fps {row.fps}; expected 30 "
                               f"(pass --allow-fps to override)")

@@ -11,6 +11,7 @@ margin.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,10 +39,10 @@ class ModelConfig:
     def __post_init__(self):
         if self.zeta < 1:
             raise ConfigError("zeta must be >= 1")
-        if self.mu <= 0:
-            raise ConfigError("mu must be > 0")
-        if self.lam < 0:
-            raise ConfigError("lambda must be >= 0")
+        if not 0 < self.mu < math.inf:
+            raise ConfigError(f"mu must be finite and > 0, got {self.mu}")
+        if not 0 <= self.lam < math.inf:
+            raise ConfigError(f"lambda must be finite and >= 0, got {self.lam}")
         if not 0.0 <= self.rho < 1.0:
             raise ConfigError("rho must be in [0, 1)")
         if self.dtype not in ("float32", "float64"):

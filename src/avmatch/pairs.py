@@ -14,12 +14,13 @@ within an adaptive margin of the hardest genuine distance:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, ContractError, DataError
-from .speech import AudioClip, SpeechConfig, SpeechCube, build_speech_cube
+from .speech import AudioClip, SpeechCube, build_speech_cube
 from .visual import FRAME_COUNT, VisualCube, build_visual_cube
 
 FEATURE_HOP_S = 0.02
@@ -33,8 +34,8 @@ class SelectionConfig:
     enabled: bool = True
 
     def __post_init__(self):
-        if self.eta0 <= 0:
-            raise ConfigError("eta0 must be > 0")
+        if not 0 < self.eta0 < math.inf:
+            raise ConfigError(f"eta0 must be finite and > 0, got {self.eta0}")
 
 
 @dataclass
@@ -65,21 +66,16 @@ class LabeledPair:
 class PairConfig:
     max_shift_s: float = 0.5
     min_shift_s: float = 0.1
-    impostor_ratio: float = 1.0   # impostors per genuine window
     fixed_shift_s: float | None = None  # pin all impostor shifts (test-set replicas)
-    speech: SpeechConfig = field(default_factory=SpeechConfig)
 
     def __post_init__(self):
-        hop = FEATURE_HOP_S
-        if self.min_shift_s < hop:
-            raise ConfigError(f"min shift must be at least one feature hop ({hop} s)")
-        if self.max_shift_s < self.min_shift_s:
-            raise ConfigError("max shift must be >= min shift")
+        # a chained comparison is False for NaN, so this also refuses NaN shifts
+        if not FEATURE_HOP_S <= self.min_shift_s <= self.max_shift_s < math.inf:
+            raise ConfigError(f"need one feature hop ({FEATURE_HOP_S} s) <= min shift <= "
+                              f"max shift < inf, got {self.min_shift_s}, {self.max_shift_s}")
         if self.fixed_shift_s is not None and not (
                 self.min_shift_s <= self.fixed_shift_s <= self.max_shift_s):
             raise ConfigError("fixed shift outside [min, max] shift range")
-        if self.impostor_ratio < 0:
-            raise ConfigError("impostor ratio must be >= 0")
 
 
 @dataclass
@@ -103,11 +99,12 @@ def generate_pairs(clips, cfg: PairConfig | None = None, seed: int = 0):
     """Produce labeled pairs from aligned clips.
 
     Returns (pairs, stats). Windows of ``WINDOW_S`` tile each clip from
-    zero; each start yields one genuine pair plus ``impostor_ratio`` impostors
-    whose shifts are drawn uniformly over whole feature hops in
-    [min_shift_s, max_shift_s]. Deterministic for a given seed. A clip whose
-    ``FRAME_COUNT`` frames span more than one feature hop more or less than
-    ``WINDOW_S`` is refused, since its streams would be misaligned.
+    zero; each start yields one genuine pair and one impostor whose shift is
+    drawn uniformly over whole feature hops in [min_shift_s, max_shift_s]
+    (skipped when the shifted audio runs past the clip). Deterministic for a
+    given seed. A clip whose ``FRAME_COUNT`` frames span more than one feature
+    hop more or less than ``WINDOW_S`` is refused, since its streams would be
+    misaligned.
     """
     cfg = cfg or PairConfig()
     lo_hop, hi_hop = _shift_choices(cfg)
@@ -127,20 +124,17 @@ def generate_pairs(clips, cfg: PairConfig | None = None, seed: int = 0):
             if frame_start + FRAME_COUNT > len(clip.frames):
                 break
             visual = build_visual_cube(clip.frames, start=frame_start, clip_id=clip.clip_id)
-            speech = build_speech_cube(clip.audio.window(start, WINDOW_S), cfg.speech,
+            speech = build_speech_cube(clip.audio.window(start, WINDOW_S),
                                        clip_id=clip.clip_id, start_s=start)
             pairs.append(LabeledPair(speech, visual, 1, clip.subject_id, 0.0))
             stats.genuine += 1
 
-            n_imp = int(round(cfg.impostor_ratio))
-            for _ in range(n_imp):
-                shift = int(rng.integers(lo_hop, hi_hop + 1)) * FEATURE_HOP_S
-                if start + shift + WINDOW_S > audio_dur + 1e-9:
-                    stats.skipped += 1
-                    continue
+            shift = int(rng.integers(lo_hop, hi_hop + 1)) * FEATURE_HOP_S
+            if start + shift + WINDOW_S > audio_dur + 1e-9:
+                stats.skipped += 1
+            else:
                 shifted = build_speech_cube(clip.audio.window(start + shift, WINDOW_S),
-                                            cfg.speech, clip_id=clip.clip_id,
-                                            start_s=start + shift)
+                                            clip_id=clip.clip_id, start_s=start + shift)
                 pairs.append(LabeledPair(shifted, visual, 0, clip.subject_id, shift))
                 stats.impostor += 1
             start = round(start + WINDOW_S, 9)

@@ -16,6 +16,13 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .tensor import Tensor
 
+# The paper's front end: 20 ms Hamming-windowed frames, 40 mel filters from 0 Hz
+# to the clip's Nyquist frequency, a 512-point FFT; 13 cepstra in the cepstral
+# baseline.
+FRAME_MS = 20
+N_FILTERS = 40
+FFT_SIZE = 512
+N_CEPSTRA = 13
 LOG_ENERGY_FLOOR = 1e-10
 STD_EPS = 1e-8
 
@@ -47,18 +54,7 @@ class AudioClip:
 
 @dataclass
 class SpeechConfig:
-    sample_rate: int = 16000
-    window_ms: float = 20.0
-    overlap: float = 0.0          # fraction of a window
-    n_filters: int = 40
-    fft_size: int = 512
-    f_low: float = 0.0
-    f_high: float | None = None   # defaults to sample_rate / 2
-    window_fn: str = "hamming"    # or "rect"
-    n_coeffs: int = 13            # cepstral variant only
-
-    def resolved_f_high(self, rate: int) -> float:
-        return self.f_high if self.f_high is not None else rate / 2.0
+    cepstral: bool = False        # cosine-transform the static features (baseline)
 
 
 @dataclass
@@ -76,24 +72,15 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def frame_signal(clip: AudioClip, window_ms: float = 20.0, overlap: float = 0.0) -> np.ndarray:
-    """Slice the clip into frames of window_ms, dropping the trailing remainder.
-
-    With overlap 0 the frames are disjoint and the frame count is
-    floor(duration / window).
-    """
-    if not 0.0 <= overlap < 1.0:
-        raise ConfigError(f"overlap must be in [0, 1), got {overlap}")
-    win = int(round(window_ms * 1e-3 * clip.sample_rate))
+def frame_signal(clip: AudioClip) -> np.ndarray:
+    """Slice the clip into disjoint FRAME_MS frames, dropping the trailing remainder."""
+    win = int(round(FRAME_MS * 1e-3 * clip.sample_rate))
     if win < 1:
         raise ConfigError("window shorter than one sample")
     n = len(clip.samples)
     if n < win:
         raise DataError(f"clip of {n} samples shorter than one {win}-sample window")
-    hop = max(1, int(round(win * (1.0 - overlap))))
-    count = (n - win) // hop + 1
-    idx = np.arange(win)[None, :] + hop * np.arange(count)[:, None]
-    return clip.samples[idx]
+    return clip.samples[:n - n % win].reshape(-1, win)
 
 
 def _mel_edges(n_filters: int, f_low: float, f_high: float) -> np.ndarray:
@@ -121,41 +108,28 @@ def mel_filterbank(n_filters: int, fft_size: int, sample_rate: int,
     return np.clip(np.minimum(rising, falling), 0.0, None)
 
 
-def filter_center_frequencies(cfg: SpeechConfig, sample_rate: int | None = None) -> np.ndarray:
-    rate = sample_rate or cfg.sample_rate
-    return _mel_edges(cfg.n_filters, cfg.f_low, cfg.resolved_f_high(rate))[1:-1]
+def filter_center_frequencies(sample_rate: int) -> np.ndarray:
+    return _mel_edges(N_FILTERS, 0.0, sample_rate / 2.0)[1:-1]
 
 
-def _frame_window(length: int, kind: str) -> np.ndarray:
-    if kind == "hamming":
-        return np.hamming(length)
-    if kind == "rect":
-        return np.ones(length)
-    raise ConfigError(f"unknown window function {kind!r}")
-
-
-def mel_filterbank_energies(frames: np.ndarray, n_filters: int = 40, fft_size: int = 512,
-                            sample_rate: int = 16000, f_low: float = 0.0,
-                            f_high: float | None = None,
-                            window_fn: str = "hamming") -> np.ndarray:
+def mel_filterbank_energies(frames: np.ndarray, sample_rate: int = 16000) -> np.ndarray:
     """Log mel filterbank energies of one frame [win] or of frames [n, win].
 
-    The result has the leading shape of the input and n_filters on the last
-    axis.
+    Each frame is Hamming-windowed and zero-padded to FFT_SIZE; the N_FILTERS
+    filters span 0 Hz to the Nyquist frequency. The result has the leading
+    shape of the input and N_FILTERS on the last axis.
     """
     frames = np.asarray(frames, dtype=np.float64)
     win = frames.shape[-1]
-    if fft_size < win:
-        raise ConfigError(f"fft_size {fft_size} smaller than frame length {win}")
-    f_high = f_high if f_high is not None else sample_rate / 2.0
-    filterbank = mel_filterbank(n_filters, fft_size, sample_rate, f_low, f_high)
-    windowed = frames * _frame_window(win, window_fn)
-    spectrum = np.fft.rfft(windowed, n=fft_size, axis=-1)
-    power = (spectrum.real ** 2 + spectrum.imag ** 2) / fft_size
+    if FFT_SIZE < win:
+        raise ConfigError(f"fft_size {FFT_SIZE} smaller than frame length {win}")
+    filterbank = mel_filterbank(N_FILTERS, FFT_SIZE, sample_rate, 0.0, sample_rate / 2.0)
+    spectrum = np.fft.rfft(frames * np.hamming(win), n=FFT_SIZE, axis=-1)
+    power = (spectrum.real ** 2 + spectrum.imag ** 2) / FFT_SIZE
     return np.log(power @ filterbank.T + LOG_ENERGY_FLOOR)
 
 
-def mfcc_from_mfec(mfec: np.ndarray, n_coeffs: int = 13) -> np.ndarray:
+def mfcc_from_mfec(mfec: np.ndarray, n_coeffs: int = N_CEPSTRA) -> np.ndarray:
     """Orthonormal type-II cosine transform of the log energies, truncated."""
     mfec = np.asarray(mfec, dtype=np.float64)
     if n_coeffs > mfec.shape[-1]:
@@ -202,30 +176,26 @@ def standardize(x: Tensor | np.ndarray) -> Tensor:
     return Tensor(out)
 
 
-def mfec_matrix(clip: AudioClip, cfg: SpeechConfig) -> np.ndarray:
-    """Static log filterbank energies [frames, n_filters] for a clip."""
-    frames = frame_signal(clip, cfg.window_ms, cfg.overlap)
-    if frames.shape[1] > cfg.fft_size:
+def mfec_matrix(clip: AudioClip) -> np.ndarray:
+    """Static log filterbank energies [frames, N_FILTERS] for a clip."""
+    frames = frame_signal(clip)
+    if frames.shape[1] > FFT_SIZE:
         raise DataError(f"{clip.sample_rate} Hz audio gives {frames.shape[1]}-sample "
-                        f"{cfg.window_ms:g} ms frames, longer than fft_size {cfg.fft_size}")
-    return mel_filterbank_energies(frames, cfg.n_filters, cfg.fft_size, clip.sample_rate,
-                                   cfg.f_low, cfg.resolved_f_high(clip.sample_rate),
-                                   cfg.window_fn)
+                        f"{FRAME_MS} ms frames, longer than fft_size {FFT_SIZE}")
+    return mel_filterbank_energies(frames, clip.sample_rate)
 
 
 def build_speech_cube(clip: AudioClip, cfg: SpeechConfig | None = None,
-                      clip_id: str = "", start_s: float = 0.0,
-                      cepstral: bool = False) -> SpeechCube:
+                      clip_id: str = "", start_s: float = 0.0) -> SpeechCube:
     """Stack [static, delta, delta-delta] into a standardized feature cube.
 
     A 0.3 s clip yields [15, 40, 3]; in general the time axis has
-    floor(duration / 0.02 s) steps. With ``cepstral`` the static features are
-    cosine-transformed first (shape [T, n_coeffs, 3]).
+    floor(duration / FRAME_MS) steps. With ``cfg.cepstral`` the static
+    features are cosine-transformed first (shape [T, N_CEPSTRA, 3]).
     """
-    cfg = cfg or SpeechConfig()
-    static = mfec_matrix(clip, cfg)
-    if cepstral:
-        static = mfcc_from_mfec(static, cfg.n_coeffs)
+    static = mfec_matrix(clip)
+    if cfg is not None and cfg.cepstral:
+        static = mfcc_from_mfec(static)
     delta, delta_delta = temporal_derivatives(static)
     cube = np.stack([static, delta, delta_delta], axis=-1)
     return SpeechCube(values=standardize(cube), clip_id=clip_id, start_s=start_s)

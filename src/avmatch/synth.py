@@ -12,6 +12,7 @@ which is exactly the structure the matching task needs.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,8 +37,9 @@ class SynthConfig:
     def __post_init__(self):
         if self.n_subjects < 1 or self.clips_per_subject < 1:
             raise ConfigError("need at least one subject and one clip per subject")
-        if self.clip_s < 0.9:
-            raise ConfigError("clips shorter than 0.9 s cannot host shifted windows")
+        if not 0.9 <= self.clip_s < math.inf:
+            raise ConfigError(f"clips must last a finite 0.9 s or more to host shifted "
+                              f"windows, got {self.clip_s}")
 
 
 def envelope(n_samples: int, sample_rate: int, sigma_s: float, rng) -> np.ndarray:

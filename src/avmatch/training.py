@@ -12,6 +12,7 @@ from __future__ import annotations
 import ctypes
 import ctypes.util
 import hashlib
+import math
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -71,6 +72,8 @@ class TrainConfig:
             raise ConfigError("batch size must be >= 2 (batch normalization)")
         if self.max_epochs < 1:
             raise ConfigError("max epochs must be >= 1")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError(f"learning rate must be finite and > 0, got {self.learning_rate}")
         if self.optimizer not in ("sgdm", "adam"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
 
@@ -97,14 +100,13 @@ class PackedPairs:
     visual: np.ndarray    # [N, 9, 60, 100, 1]
     labels: np.ndarray    # [N] in {0, 1}
     subjects: np.ndarray  # [N] object
-    shifts: np.ndarray    # [N] seconds
 
     def __len__(self):
         return len(self.labels)
 
     def subset(self, idx) -> "PackedPairs":
         return PackedPairs(self.speech[idx], self.visual[idx], self.labels[idx],
-                           self.subjects[idx], self.shifts[idx])
+                           self.subjects[idx])
 
 
 def pack_pairs(pairs, dtype=np.float32) -> PackedPairs:
@@ -114,8 +116,7 @@ def pack_pairs(pairs, dtype=np.float32) -> PackedPairs:
     visual = np.stack([p.visual.values.data for p in pairs]).astype(dtype)
     labels = np.array([p.label for p in pairs], dtype=np.int64)
     subjects = np.array([p.subject_id for p in pairs], dtype=object)
-    shifts = np.array([p.shift_s for p in pairs], dtype=np.float64)
-    return PackedPairs(speech, visual, labels, subjects, shifts)
+    return PackedPairs(speech, visual, labels, subjects)
 
 
 class SGDMomentum:

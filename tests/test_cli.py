@@ -10,9 +10,11 @@ import pytest
 
 import avmatch
 from avmatch import io as avio
-from avmatch.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from avmatch.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, _train_configs, build_parser, main
 from avmatch.model import CoupledModel, ModelConfig
 from avmatch.synth import SynthConfig, generate_corpus
+from avmatch.training import TrainConfig
+from checkpoint_bytes import write_nan_into_blob
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +164,35 @@ class TestFeaturesCommand:
                           for i, row in enumerate(rows) if i != 2)
         assert written == expected
 
+    def test_manifest_mode_names_nan_wav_and_writes_the_rest(self, corpus, tmp_path, capsys):
+        from scipy.io import wavfile
+        nan_wav = tmp_path / "nan.wav"
+        samples = np.zeros(16000, dtype=np.float32)
+        samples[8000] = np.nan
+        wavfile.write(nan_wav, 16000, samples)
+        manifest, rows = _edited_manifest(corpus, tmp_path, 1, audio_path=str(nan_wav))
+        out_dir = tmp_path / "cubes"
+        rc = main(["features", "audio", "--manifest", str(manifest),
+                   "--out-dir", str(out_dir)])
+        assert rc == EXIT_DATA
+        assert f"error: {nan_wav}: {nan_wav}: non-finite sample at 0.500000 s" \
+            in capsys.readouterr().err
+        written = sorted(p.name for p in out_dir.glob("*.avcb"))
+        expected = sorted(f"{row['subject_id']}_{i:04d}.avcb"
+                          for i, row in enumerate(rows) if i != 1)
+        assert written == expected
+
+    def test_non_finite_packed_frame_is_data_error(self, tmp_path, capsys):
+        frames = np.zeros((12, 60, 100), dtype=np.float32)
+        frames[4, 10, 10] = np.inf
+        packed = tmp_path / "frames.avcb"
+        avio.write_cube(packed, frames)
+        out = tmp_path / "v.avcb"
+        rc = main(["features", "video", "--cube", str(packed), "--out", str(out)])
+        assert rc == EXIT_DATA
+        assert "packed frame 4 holds non-finite values" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_48khz_wav_is_data_error(self, tmp_path):
         wav = tmp_path / "hi.wav"
         avio.write_wav(wav, np.zeros(48000 // 2), 48000)
@@ -234,9 +265,9 @@ class TestUsageErrors:
 
     def test_eval_on_nan_checkpoint_is_data_error(self, corpus, tmp_path):
         model = CoupledModel(ModelConfig(zeta=8, seed=0))
-        next(iter(model.named_parameters()))[1].data.flat[0] = np.nan
         ckpt = tmp_path / "nan.avck"
         avio.save_checkpoint(ckpt, model)
+        write_nan_into_blob(ckpt, next(iter(model.named_parameters()))[0])
         rc = main(["eval", "--ckpt", str(ckpt), "--manifest", str(corpus),
                    "--out-dir", str(tmp_path / "eval")])
         assert rc == EXIT_DATA
@@ -352,6 +383,37 @@ class TestMalformedValues:
         assert rc == EXIT_OK
         assert json.loads(out.read_text())["best"] == {"zeta": 8}
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--min-shift", "nan"), ("--max-shift", "inf"), ("--lr", "nan"), ("--lr", "-1"),
+        ("--lr", "inf"), ("--mu", "inf"), ("--mu", "nan"), ("--lam", "nan"),
+        ("--lam", "inf"), ("--eta0", "nan"), ("--eta0", "inf")])
+    def test_non_finite_or_out_of_range_train_value_is_usage_error(self, corpus, tmp_path,
+                                                                    flag, value):
+        ckpt = tmp_path / "c.avck"
+        rc = main(["train", "--manifest", str(corpus), "--out", str(ckpt), "--epochs", "1",
+                   "--zeta", "8", "--batch-size", "8", flag, value])
+        assert rc == EXIT_USAGE
+        assert not ckpt.exists()
+
+    def test_infinite_eval_shift_is_usage_error(self, corpus, tmp_path):
+        ckpt = tmp_path / "m.avck"
+        avio.save_checkpoint(ckpt, CoupledModel(ModelConfig(zeta=8, seed=0)))
+        out_dir = tmp_path / "eval"
+        rc = main(["eval", "--ckpt", str(ckpt), "--manifest", str(corpus), "--shift", "inf",
+                   "--out-dir", str(out_dir)])
+        assert rc == EXIT_USAGE
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("seconds", ["nan", "inf"])
+    def test_non_finite_clip_seconds_is_usage_error(self, tmp_path, seconds):
+        rc = main(["synth", "--out", str(tmp_path / "c"), "--clip-seconds", seconds])
+        assert rc == EXIT_USAGE
+        assert not (tmp_path / "c").exists()
+
+    def test_bare_train_flags_are_the_config_defaults(self):
+        args = build_parser().parse_args(["train", "--manifest", "m.csv", "--out", "c.avck"])
+        assert _train_configs(args) == (ModelConfig(), TrainConfig())
+
     def test_eval_folds_checked_before_any_input_is_read(self, tmp_path):
         rc = main(["eval", "--ckpt", str(tmp_path / "missing.avck"),
                    "--manifest", str(tmp_path / "missing.csv"), "--folds", "1",
@@ -393,6 +455,32 @@ class TestStreamRates:
         expected = sorted(f"{row['subject_id']}_{i:04d}.avcb"
                           for i, row in enumerate(rows) if i != 2)
         assert written == expected
+
+    @pytest.mark.parametrize("fps", ["0", "nan"])
+    def test_fps_not_finite_and_positive_is_data_error_naming_the_record(
+            self, corpus, tmp_path, capsys, fps):
+        manifest, _ = _edited_manifest(corpus, tmp_path, 2, fps=fps)
+        ckpt = tmp_path / "c.avck"
+        rc = main(["train", "--manifest", str(manifest), "--out", str(ckpt), "--allow-fps",
+                   "--epochs", "1", "--zeta", "8", "--batch-size", "8"])
+        assert rc == EXIT_DATA
+        assert f"record 2 has fps {float(fps)}" in capsys.readouterr().err
+        assert not ckpt.exists()
+
+    def test_train_on_nan_wav_is_data_error_without_checkpoint(self, corpus, tmp_path,
+                                                               capsys):
+        from scipy.io import wavfile
+        nan_wav = tmp_path / "nan.wav"
+        samples = np.zeros(int(1.2 * 16000), dtype=np.float32)
+        samples[100] = np.nan
+        wavfile.write(nan_wav, 16000, samples)
+        manifest, _ = _edited_manifest(corpus, tmp_path, 0, audio_path=str(nan_wav))
+        ckpt = tmp_path / "c.avck"
+        rc = main(["train", "--manifest", str(manifest), "--out", str(ckpt),
+                   "--epochs", "1", "--zeta", "8", "--batch-size", "8"])
+        assert rc == EXIT_DATA
+        assert f"{nan_wav}: non-finite sample at 0.006250 s" in capsys.readouterr().err
+        assert not ckpt.exists()
 
     def test_allowed_25_fps_row_is_refused_not_misaligned(self, corpus, tmp_path, capsys):
         manifest, _ = _edited_manifest(corpus, tmp_path, 0, fps="25")

@@ -6,6 +6,7 @@ import pytest
 from avmatch import io as avio
 from avmatch.errors import ConfigError, DataError
 from avmatch.model import CoupledModel, ModelConfig
+from checkpoint_bytes import write_nan_into_blob
 
 
 class TestWav:
@@ -25,6 +26,16 @@ class TestWav:
         wavfile.write(path, 8000, samples)
         clip = avio.read_wav(path)
         np.testing.assert_allclose(clip.samples, samples, atol=1e-7)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_float_sample_named_by_time(self, tmp_path, value):
+        from scipy.io import wavfile
+        samples = np.zeros(1600, dtype=np.float32)
+        samples[1200] = value
+        path = tmp_path / "nan.wav"
+        wavfile.write(path, 16000, samples)
+        with pytest.raises(DataError, match=r"nan\.wav: non-finite sample at 0\.075000 s"):
+            avio.read_wav(path)
 
     def test_stereo_rejected(self, tmp_path):
         from scipy.io import wavfile
@@ -189,14 +200,32 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="repeated blob"):
             avio.load_checkpoint(path)
 
-    def test_nan_parameter_refused_naming_blob(self, tmp_path):
-        bad = CoupledModel(ModelConfig(zeta=16, seed=4, dtype="float32"))
-        name, param = list(bad.named_parameters())[3]
-        param.data.flat[0] = np.nan
+    def test_nan_parameter_refused_naming_blob(self, tmp_path, model):
+        name, _ = list(model.named_parameters())[3]
         path = tmp_path / "nan.avck"
-        avio.save_checkpoint(path, bad)
+        avio.save_checkpoint(path, model)
+        write_nan_into_blob(path, name)
         with pytest.raises(DataError, match=f"blob {name} "):
             avio.load_checkpoint(path)
+
+    def test_nan_margin_in_header_is_data_error(self, tmp_path, model):
+        path = tmp_path / "mu.avck"
+        avio.save_checkpoint(path, model)
+        raw = bytearray(path.read_bytes())
+        raw[10:18] = struct.pack("<d", float("nan"))   # mu, after magic, version and zeta
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DataError, match="bad stored configuration: mu must be finite"):
+            avio.load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_state_is_not_saved(self, tmp_path, value):
+        bad = CoupledModel(ModelConfig(zeta=16, seed=4, dtype="float32"))
+        name, buffer = bad.named_buffers()[2]
+        buffer.flat[0] = value
+        path = tmp_path / "bad.avck"
+        with pytest.raises(DataError, match=f"blob {name} holds non-finite"):
+            avio.save_checkpoint(path, bad)
+        assert not path.exists()
 
     def test_save_after_training_restores_running_stats(self, tmp_path, model):
         model.visual_net.layers[1].running_mean[:] = 0.25
@@ -245,6 +274,29 @@ class TestManifest:
         with pytest.raises(ConfigError):
             avio.load_manifest(manifest)
         assert avio.load_manifest(manifest, allow_fps=True)[0].fps == 25.0
+
+    @pytest.mark.parametrize("fps", ["0", "-30", "nan", "inf"])
+    def test_fps_not_finite_and_positive_is_data_error(self, tmp_path, fps):
+        clip = self.write_clip(tmp_path)
+        manifest = tmp_path / "m.csv"
+        manifest.write_text(
+            "subject_id,audio_path,frames_dir,fps,sample_rate\n"
+            f"s0,{clip.relative_to(tmp_path)}/audio.wav,"
+            f"{clip.relative_to(tmp_path)}/frames,30,16000\n"
+            f"s0,{clip.relative_to(tmp_path)}/audio.wav,"
+            f"{clip.relative_to(tmp_path)}/frames,{fps},16000\n")
+        with pytest.raises(DataError, match="record 1 has fps"):
+            avio.load_manifest(manifest, allow_fps=True)
+
+    def test_jsonl_zero_fps_is_not_read_as_missing(self, tmp_path):
+        clip = self.write_clip(tmp_path)
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text(
+            '{"subject_id": "s0", "audio_path": "%s/audio.wav", '
+            '"frames_dir": "%s/frames", "fps": 0}\n'
+            % (clip.relative_to(tmp_path), clip.relative_to(tmp_path)))
+        with pytest.raises(DataError, match="record 0 has fps 0.0"):
+            avio.load_manifest(manifest, allow_fps=True)
 
     def test_missing_paths_rejected(self, tmp_path):
         manifest = tmp_path / "m.csv"

@@ -133,7 +133,7 @@ class TestGeneratePairs:
         cfg = PairConfig(fixed_shift_s=0.4)
         pairs, _ = generate_pairs([clip], cfg, seed=0)
         imp = next(p for p in pairs if p.label == 0 and p.speech.start_s == pytest.approx(0.4))
-        direct = build_speech_cube(clip.audio.window(0.4, 0.3), cfg.speech)
+        direct = build_speech_cube(clip.audio.window(0.4, 0.3))
         np.testing.assert_array_equal(imp.speech.values.data, direct.values.data)
 
     def test_seed_determinism(self):
@@ -158,12 +158,6 @@ class TestGeneratePairs:
     def test_min_shift_below_hop_rejected(self):
         with pytest.raises(ConfigError):
             PairConfig(min_shift_s=0.01)
-
-    def test_impostor_ratio_two(self):
-        cfg = PairConfig(impostor_ratio=2.0, max_shift_s=0.3)
-        pairs, stats = generate_pairs([make_clip()], cfg, seed=0)
-        impostor = [p for p in pairs if p.label == 0]
-        assert len(impostor) + stats.skipped == 2 * stats.genuine
 
     def test_25_fps_clip_is_refused(self):
         # 9 frames at 25 f/s span 0.36 s against 0.3 s of audio

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from avmatch.errors import ConfigError, DataError
-from avmatch.speech import (AudioClip, SpeechConfig, build_speech_cube,
-                            filter_center_frequencies, frame_signal,
-                            hz_to_mel, inverse_mfcc, mel_filterbank,
-                            mel_filterbank_energies, mel_to_hz,
-                            mfcc_from_mfec, mfec_matrix, standardize,
-                            temporal_derivatives)
+from avmatch.speech import (FFT_SIZE, N_CEPSTRA, N_FILTERS, AudioClip, SpeechConfig,
+                            build_speech_cube, filter_center_frequencies,
+                            frame_signal, hz_to_mel, inverse_mfcc,
+                            mel_filterbank, mel_filterbank_energies,
+                            mel_to_hz, mfcc_from_mfec, mfec_matrix,
+                            standardize, temporal_derivatives)
 from avmatch.tensor import Tensor
 
 
@@ -32,26 +32,26 @@ def naive_dft_power(frame, fft_size):
 
 class TestFraming:
     def test_fifteen_frames_from_300ms(self):
-        frames = frame_signal(tone(440, 0.3), window_ms=20)
+        frames = frame_signal(tone(440, 0.3))
         assert frames.shape == (15, 320)
 
     def test_single_frame_boundary(self):
-        frames = frame_signal(tone(440, 0.02), window_ms=20)
+        frames = frame_signal(tone(440, 0.02))
         assert frames.shape == (1, 320)
 
     def test_floor_semantics_drops_remainder(self):
         clip = tone(440, 0.305)
-        frames = frame_signal(clip, window_ms=20)
+        frames = frame_signal(clip)
         assert frames.shape == (15, 320)
         assert len(clip.samples) - frames.size == 80
 
     def test_too_short_clip(self):
         with pytest.raises(DataError):
-            frame_signal(AudioClip(np.zeros(10), 16000), window_ms=20)
+            frame_signal(AudioClip(np.zeros(10), 16000))
 
     def test_frames_are_contiguous_slices(self):
         clip = AudioClip(np.arange(1000, dtype=float), 16000)
-        frames = frame_signal(clip, window_ms=20)
+        frames = frame_signal(clip)
         np.testing.assert_array_equal(frames[0], np.arange(320))
         np.testing.assert_array_equal(frames[1], np.arange(320, 640))
 
@@ -62,7 +62,7 @@ class TestMelEnergies:
         np.testing.assert_allclose(out, np.log(1e-10))
 
     def test_sinusoid_peaks_at_its_filter(self):
-        centers = filter_center_frequencies(SpeechConfig())
+        centers = filter_center_frequencies(16000)
         for k in (5, 12, 20, 30, 38):
             t = np.arange(320) / 16000
             frame = np.sin(2 * np.pi * centers[k] * t)
@@ -73,9 +73,8 @@ class TestMelEnergies:
     def test_against_naive_dft_oracle(self, seed):
         rng = np.random.default_rng(seed)
         frame = rng.standard_normal(320)
-        cfg = SpeechConfig()
-        fb = mel_filterbank(cfg.n_filters, cfg.fft_size, cfg.sample_rate, 0.0, 8000.0)
-        expected = np.log(fb @ naive_dft_power(frame * np.hamming(320), cfg.fft_size) + 1e-10)
+        fb = mel_filterbank(N_FILTERS, FFT_SIZE, 16000, 0.0, 8000.0)
+        expected = np.log(fb @ naive_dft_power(frame * np.hamming(320), FFT_SIZE) + 1e-10)
         got = mel_filterbank_energies(frame)
         np.testing.assert_allclose(got, expected, atol=1e-9)
 
@@ -92,7 +91,7 @@ class TestMelEnergies:
 
     def test_fft_shorter_than_frame_rejected(self):
         with pytest.raises(ConfigError):
-            mel_filterbank_energies(np.zeros(600), fft_size=512)
+            mel_filterbank_energies(np.zeros(600))
 
     def test_time_reversal_invariance(self):
         # energy spectra are phase-blind; symmetric windows commute with reversal
@@ -127,31 +126,24 @@ class TestVectorisedAgainstLoops:
         expected = per_filter_filterbank(40, fft_size, rate, f_low, f_high)
         np.testing.assert_array_equal(got, expected)
 
-    @pytest.mark.parametrize("clip, cfg", [
-        (tone(440, 0.3), SpeechConfig()),
-        (tone(2500, 1.0, amp=0.1), SpeechConfig()),
-        (AudioClip(np.random.default_rng(1).standard_normal(4800) * 0.3, 16000),
-         SpeechConfig()),
-        (AudioClip(np.random.default_rng(2).standard_normal(2400), 8000),
-         SpeechConfig(window_fn="rect", fft_size=256)),
-        (tone(1000, 0.5), SpeechConfig(overlap=0.5, f_low=200.0, f_high=6000.0)),
-    ])
-    def test_mfec_matrix_equals_per_frame_stack(self, clip, cfg):
-        frames = frame_signal(clip, cfg.window_ms, cfg.overlap)
-        expected = np.stack([
-            mel_filterbank_energies(f, cfg.n_filters, cfg.fft_size, clip.sample_rate,
-                                    cfg.f_low, cfg.resolved_f_high(clip.sample_rate),
-                                    cfg.window_fn)
-            for f in frames
-        ])
-        got = mfec_matrix(clip, cfg)
-        assert got.shape == (len(frames), cfg.n_filters)
+    # fixed ids keep each case's test name stable
+    @pytest.mark.parametrize("clip", [
+        tone(440, 0.3),
+        tone(2500, 1.0, amp=0.1),
+        AudioClip(np.random.default_rng(1).standard_normal(4800) * 0.3, 16000),
+        AudioClip(np.random.default_rng(2).standard_normal(2400), 8000),
+    ], ids=[f"clip{i}-cfg{i}" for i in range(4)])
+    def test_mfec_matrix_equals_per_frame_stack(self, clip):
+        frames = frame_signal(clip)
+        expected = np.stack([mel_filterbank_energies(f, clip.sample_rate) for f in frames])
+        got = mfec_matrix(clip)
+        assert got.shape == (len(frames), N_FILTERS)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
     def test_frame_longer_than_fft_is_data_error(self):
         clip = AudioClip(np.zeros(14400), 48000)
         with pytest.raises(DataError, match="48000 Hz"):
-            mfec_matrix(clip, SpeechConfig())
+            mfec_matrix(clip)
 
 
 class TestCepstral:
@@ -259,19 +251,18 @@ class TestSpeechCube:
     def test_channels_are_static_delta_deltadelta(self):
         cfg = SpeechConfig()
         clip = tone(900, 0.3)
-        static = mfec_matrix(clip, cfg)
+        static = mfec_matrix(clip)
         delta, ddelta = temporal_derivatives(static)
         stacked = np.stack([static, delta, ddelta], axis=-1)
         expected = standardize(stacked).data
         np.testing.assert_allclose(build_speech_cube(clip, cfg).values.data, expected)
 
     def test_cepstral_path_is_mfec_plus_dct_only(self):
-        cfg = SpeechConfig()
         clip = tone(1200, 0.3)
-        static = mfec_matrix(clip, cfg)
-        direct = mfcc_from_mfec(static, cfg.n_coeffs)
+        static = mfec_matrix(clip)
+        direct = mfcc_from_mfec(static, N_CEPSTRA)
         delta, ddelta = temporal_derivatives(direct)
         expected = standardize(np.stack([direct, delta, ddelta], axis=-1)).data
-        got = build_speech_cube(clip, cfg, cepstral=True).values.data
+        got = build_speech_cube(clip, SpeechConfig(cepstral=True)).values.data
         assert got.shape == (15, 13, 3)
         np.testing.assert_allclose(got, expected)

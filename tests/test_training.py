@@ -22,7 +22,6 @@ def toy_data(n=24, n_subjects=6, seed=0, separable=True):
     xa = np.zeros((n,) + MINI_AUDIO_SHAPE)
     y = np.zeros(n, dtype=np.int64)
     subjects = np.empty(n, dtype=object)
-    shifts = np.zeros(n)
     for i in range(n):
         profile = rng.standard_normal(4)
         xv[i] = profile[:, None, None, None] + 0.05 * rng.standard_normal(MINI_VISUAL_SHAPE)
@@ -32,9 +31,8 @@ def toy_data(n=24, n_subjects=6, seed=0, separable=True):
                 + 0.05 * rng.standard_normal(MINI_AUDIO_SHAPE)
         else:
             xa[i] = rng.standard_normal(MINI_AUDIO_SHAPE)
-            shifts[i] = 0.2
         subjects[i] = f"s{i % n_subjects}"
-    return PackedPairs(speech=xa, visual=xv, labels=y, subjects=subjects, shifts=shifts)
+    return PackedPairs(speech=xa, visual=xv, labels=y, subjects=subjects)
 
 
 def mini_train_cfg(**kwargs):
@@ -169,7 +167,7 @@ def repeated_cubes(visual_idx, speech_idx, seed=0):
     xa = rng.standard_normal((max(speech_idx) + 1,) + MINI_AUDIO_SHAPE)
     n = len(visual_idx)
     return PackedPairs(speech=xa[speech_idx], visual=xv[visual_idx], labels=np.arange(n) % 2,
-                       subjects=np.array(["s0"] * n, dtype=object), shifts=np.zeros(n))
+                       subjects=np.array(["s0"] * n, dtype=object))
 
 
 def embedded_batches(model, monkeypatch):
@@ -263,8 +261,7 @@ class TestEvaluateRun:
             xv[i, 0, 0, 0, 0] = d
         xa = np.zeros((n,) + MINI_AUDIO_SHAPE)
         return PackedPairs(speech=xa, visual=xv, labels=np.asarray(labels),
-                           subjects=np.array([f"s{i}" for i in range(n)], dtype=object),
-                           shifts=np.zeros(n))
+                           subjects=np.array([f"s{i}" for i in range(n)], dtype=object))
 
     def test_constant_metric_zero_std(self):
         # identical distance pattern in every split
