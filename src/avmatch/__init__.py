@@ -9,7 +9,7 @@ from .errors import AvMatchError, ConfigError, ContractError, DataError, ShapeEr
 from .model import CoupledModel, ModelConfig, batch_distances, contrastive_loss, pair_distance
 from .pairs import Clip, LabeledPair, PairConfig, SelectionConfig, generate_pairs
 from .speech import AudioClip, SpeechConfig, SpeechCube, build_speech_cube
-from .tensor import Tape, Tensor, backward, create
+from .tensor import Tape, Tensor, backward
 from .training import TrainConfig, evaluate_run, fit, pack_pairs, split_folds
 from .visual import VisualCube, build_visual_cube
 
@@ -20,7 +20,7 @@ __all__ = [
     "CoupledModel", "ModelConfig", "batch_distances", "contrastive_loss", "pair_distance",
     "Clip", "LabeledPair", "PairConfig", "SelectionConfig", "generate_pairs",
     "AudioClip", "SpeechConfig", "SpeechCube", "build_speech_cube",
-    "Tape", "Tensor", "backward", "create",
+    "Tape", "Tensor", "backward",
     "TrainConfig", "evaluate_run", "fit", "pack_pairs", "split_folds",
     "VisualCube", "build_visual_cube",
     "__version__",

@@ -80,10 +80,8 @@ def _clips_from_manifest(manifest_path, allow_fps=False):
             for i, row in enumerate(rows)]
 
 
-def _packed_pairs(args, manifest_path, seed, dtype, shift=None):
-    """Manifest -> clips -> pairs -> (packed pairs, stats); ``shift`` pins impostor shifts."""
-    lo, hi = (args.min_shift, args.max_shift) if shift is None else (shift, shift)
-    cfg = PairConfig(min_shift_s=lo, max_shift_s=hi, fixed_shift_s=shift)
+def _packed_pairs(args, manifest_path, cfg: PairConfig, seed, dtype):
+    """Manifest -> clips -> pairs -> (packed pairs, stats)."""
     pairs, stats = generate_pairs(_clips_from_manifest(manifest_path, args.allow_fps),
                                   cfg, seed=seed)
     return pack_pairs(pairs, dtype=dtype), stats
@@ -105,11 +103,15 @@ def cmd_features_audio(args) -> int:
         failures = 0
         for i, row in enumerate(rows):
             try:
-                cube = build_speech_cube(_row_audio(row), cfg)
+                audio = _row_audio(row)   # its errors name the file already
+                try:
+                    cube = build_speech_cube(audio, cfg)
+                except DataError as exc:
+                    raise DataError(f"{row.audio_path}: {exc}") from None
                 avio.write_cube(out_dir / f"{row.subject_id}_{i:04d}.avcb", cube.values)
             except AvMatchError as exc:
                 failures += 1
-                print(f"error: {row.audio_path}: {exc}", file=sys.stderr)
+                print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA if failures else EXIT_OK
     if not (args.infile and args.out):
         raise ConfigError("features audio needs --in/--out or --manifest")
@@ -181,13 +183,14 @@ def _grid_axes(spec: str) -> dict:
 
 def cmd_train(args) -> int:
     model_cfg, train_cfg = _train_configs(args)
-    data, stats = _packed_pairs(args, args.manifest, args.seed, model_cfg.np_dtype)
+    pair_cfg = PairConfig(min_shift_s=args.min_shift, max_shift_s=args.max_shift)
+    data, stats = _packed_pairs(args, args.manifest, pair_cfg, args.seed, model_cfg.np_dtype)
     if stats.skipped:
         print(f"warning: skipped {stats.skipped} impostor windows (stream too short)",
               file=sys.stderr)
     val_data = None
     if args.val_manifest:
-        val_data, _ = _packed_pairs(args, args.val_manifest, args.seed + 1,
+        val_data, _ = _packed_pairs(args, args.val_manifest, pair_cfg, args.seed + 1,
                                     model_cfg.np_dtype)
 
     model = CoupledModel(model_cfg)
@@ -211,7 +214,8 @@ def cmd_crossval(args) -> int:
     _check_folds(args.folds)
     model_cfg, train_cfg = _train_configs(args)
     grid = param_grid(_grid_axes(args.grid))
-    data, _ = _packed_pairs(args, args.manifest, args.seed, model_cfg.np_dtype)
+    pair_cfg = PairConfig(min_shift_s=args.min_shift, max_shift_s=args.max_shift)
+    data, _ = _packed_pairs(args, args.manifest, pair_cfg, args.seed, model_cfg.np_dtype)
     result = cross_validate(data, grid, model_cfg, train_cfg, k=args.folds)
     payload = {
         "best": result.best,
@@ -225,9 +229,10 @@ def cmd_crossval(args) -> int:
 
 def cmd_eval(args) -> int:
     _check_folds(args.folds)
+    pair_cfg = PairConfig(min_shift_s=args.shift, max_shift_s=args.shift,
+                          fixed_shift_s=args.shift)
     model = avio.load_checkpoint(args.ckpt)
-    data, _ = _packed_pairs(args, args.manifest, args.seed, model.config.np_dtype,
-                            shift=args.shift)
+    data, _ = _packed_pairs(args, args.manifest, pair_cfg, args.seed, model.config.np_dtype)
     report = evaluate_run(model, data, folds=args.folds)
 
     out_dir = Path(args.out_dir)

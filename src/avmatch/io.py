@@ -20,7 +20,8 @@ from scipy.io import wavfile
 
 from .errors import ConfigError, DataError
 from .model import CoupledModel, ModelConfig
-from .speech import AudioClip
+from .speech import SAMPLE_RATE, AudioClip
+from .visual import FPS
 
 CUBE_MAGIC = b"AVCB"
 CKPT_MAGIC = b"AVCK"
@@ -115,6 +116,21 @@ def read_frame_dir(path) -> list:
 
 # ---------------------------------------------------------------- cube files
 
+def _header(magic: bytes) -> bytes:
+    """The 6 bytes that open every cube and checkpoint: magic, u16 format version."""
+    return magic + struct.pack("<H", FORMAT_VERSION)
+
+
+def _check_header(path, raw: bytes, magic: bytes, kind: str) -> int:
+    """Refuse a file without ``magic`` or of another version; returns the header's length."""
+    if len(raw) < 6 or raw[:4] != magic:
+        raise DataError(f"{path}: not a {kind} file")
+    (version,) = struct.unpack_from("<H", raw, 4)
+    if version != FORMAT_VERSION:
+        raise DataError(f"{path}: unsupported {kind} version {version}")
+    return 6
+
+
 def _pack_array(array: np.ndarray) -> bytes:
     """The array record of cubes and checkpoint blobs: u16 rank, u32 extents, <f4 payload."""
     return (struct.pack(f"<H{array.ndim}I", array.ndim, *array.shape)
@@ -140,18 +156,12 @@ def _take_array(path, raw: bytes, pos: int):
 
 def write_cube(path, array) -> None:
     data = array.data if hasattr(array, "data") and not isinstance(array, np.ndarray) else array
-    Path(path).write_bytes(CUBE_MAGIC + struct.pack("<H", FORMAT_VERSION)
-                           + _pack_array(np.asarray(data)))
+    Path(path).write_bytes(_header(CUBE_MAGIC) + _pack_array(np.asarray(data)))
 
 
 def read_cube(path) -> np.ndarray:
     raw = Path(path).read_bytes()
-    if len(raw) < 8 or raw[:4] != CUBE_MAGIC:
-        raise DataError(f"{path}: not a cube file")
-    (version,) = struct.unpack_from("<H", raw, 4)
-    if version != FORMAT_VERSION:
-        raise DataError(f"{path}: unsupported cube version {version}")
-    array, pos = _take_array(path, raw, 6)
+    array, pos = _take_array(path, raw, _check_header(path, raw, CUBE_MAGIC, "cube"))
     if pos != len(raw):
         raise DataError(f"{path}: {len(raw) - pos} unexpected bytes after the array")
     return array
@@ -175,7 +185,7 @@ def save_checkpoint(path, model: CoupledModel) -> None:
         if not np.isfinite(arr).all():
             raise DataError(f"{path}: blob {name} holds non-finite values; refusing to save")
         body += _pack_blob(name, arr)
-    Path(path).write_bytes(CKPT_MAGIC + struct.pack("<H", FORMAT_VERSION) + body)
+    Path(path).write_bytes(_header(CKPT_MAGIC) + body)
 
 
 def load_checkpoint(path, dtype: str = "float32") -> CoupledModel:
@@ -187,12 +197,8 @@ def load_checkpoint(path, dtype: str = "float32") -> CoupledModel:
     infinite value. Blobs are copied into the built model's arrays in place.
     """
     raw = Path(path).read_bytes()
-    if len(raw) < 6 or raw[:4] != CKPT_MAGIC:
-        raise DataError(f"{path}: not a checkpoint file")
-    (version,) = struct.unpack_from("<H", raw, 4)
-    if version != FORMAT_VERSION:
-        raise DataError(f"{path}: unsupported checkpoint version {version}")
-    (zeta, mu, lam, rho, seed, digest, n_blobs), pos = _take(path, raw, 6, CKPT_HEADER)
+    pos = _check_header(path, raw, CKPT_MAGIC, "checkpoint")
+    (zeta, mu, lam, rho, seed, digest, n_blobs), pos = _take(path, raw, pos, CKPT_HEADER)
 
     try:
         cfg = ModelConfig(zeta=zeta, mu=mu, lam=lam, rho=rho, seed=seed, dtype=dtype)
@@ -232,8 +238,8 @@ class ManifestRow:
     subject_id: str
     audio_path: Path
     frames_dir: Path
-    fps: float = 30.0
-    sample_rate: int = 16000
+    fps: float = FPS
+    sample_rate: int = SAMPLE_RATE
 
 
 REQUIRED_COLUMNS = ("subject_id", "audio_path", "frames_dir")
@@ -284,8 +290,8 @@ def load_manifest(path, allow_fps: bool = False) -> list:
             raise DataError(f"{path}: bad manifest record {i}: {exc}") from exc
         if not 0 < row.fps < math.inf:
             raise DataError(f"{path}: record {i} has fps {row.fps}; need a finite rate > 0")
-        if row.fps != 30.0 and not allow_fps:
-            raise ConfigError(f"{path}: record {i} has fps {row.fps}; expected 30 "
+        if row.fps != FPS and not allow_fps:
+            raise ConfigError(f"{path}: record {i} has fps {row.fps}; expected {FPS} "
                               f"(pass --allow-fps to override)")
         if not row.audio_path.exists():
             raise DataError(f"{path}: record {i}: missing audio {row.audio_path}")

@@ -18,10 +18,15 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, ShapeError
 from .layers import BatchNorm, Conv3D, Dense, Dropout, Flatten, LayerStack, MaxPool3D, PReLU
+from .speech import FRAME_MS, N_FILTERS
 from .tensor import Tensor
+from .visual import FPS, FRAME_COUNT, TARGET_H, TARGET_W
 
-VISUAL_INPUT_SHAPE = (9, 60, 100, 1)
-AUDIO_INPUT_SHAPE = (15, 40, 3)
+# One window of each stream: FRAME_COUNT grayscale frames at FPS, and the
+# disjoint FRAME_MS speech frames spanning the same time, each with N_FILTERS
+# log energies and their first and second derivatives.
+VISUAL_INPUT_SHAPE = (FRAME_COUNT, TARGET_H, TARGET_W, 1)
+AUDIO_INPUT_SHAPE = (FRAME_COUNT * 1000 // (FPS * FRAME_MS), N_FILTERS, 3)
 
 DISTANCE_EPS = 1e-12
 

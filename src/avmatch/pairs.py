@@ -20,11 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractError, DataError
-from .speech import AudioClip, SpeechCube, build_speech_cube
-from .visual import FRAME_COUNT, VisualCube, build_visual_cube
+from .speech import FRAME_MS, AudioClip, SpeechCube, build_speech_cube
+from .visual import FPS, FRAME_COUNT, VisualCube, build_visual_cube
 
-FEATURE_HOP_S = 0.02
-WINDOW_S = 0.3
+FEATURE_HOP_S = FRAME_MS / 1000
+WINDOW_S = FRAME_COUNT / FPS
 MIN_GEN_EPS = 1e-12
 
 
@@ -44,7 +44,7 @@ class Clip:
     clip_id: str
     audio: AudioClip
     frames: list          # grayscale arrays at a fixed frame rate
-    fps: float = 30.0
+    fps: float = FPS
 
 
 @dataclass

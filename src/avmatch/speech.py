@@ -16,9 +16,10 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .tensor import Tensor
 
-# The paper's front end: 20 ms Hamming-windowed frames, 40 mel filters from 0 Hz
-# to the clip's Nyquist frequency, a 512-point FFT; 13 cepstra in the cepstral
-# baseline.
+# The paper's front end: 16 kHz audio in 20 ms Hamming-windowed frames, 40 mel
+# filters from 0 Hz to the clip's Nyquist frequency, a 512-point FFT; 13 cepstra
+# in the cepstral baseline.
+SAMPLE_RATE = 16000
 FRAME_MS = 20
 N_FILTERS = 40
 FFT_SIZE = 512
@@ -76,7 +77,8 @@ def frame_signal(clip: AudioClip) -> np.ndarray:
     """Slice the clip into disjoint FRAME_MS frames, dropping the trailing remainder."""
     win = int(round(FRAME_MS * 1e-3 * clip.sample_rate))
     if win < 1:
-        raise ConfigError("window shorter than one sample")
+        raise DataError(f"{clip.sample_rate} Hz audio gives {FRAME_MS} ms frames "
+                        f"shorter than one sample")
     n = len(clip.samples)
     if n < win:
         raise DataError(f"clip of {n} samples shorter than one {win}-sample window")
@@ -112,17 +114,19 @@ def filter_center_frequencies(sample_rate: int) -> np.ndarray:
     return _mel_edges(N_FILTERS, 0.0, sample_rate / 2.0)[1:-1]
 
 
-def mel_filterbank_energies(frames: np.ndarray, sample_rate: int = 16000) -> np.ndarray:
+def mel_filterbank_energies(frames: np.ndarray, sample_rate: int = SAMPLE_RATE) -> np.ndarray:
     """Log mel filterbank energies of one frame [win] or of frames [n, win].
 
     Each frame is Hamming-windowed and zero-padded to FFT_SIZE; the N_FILTERS
     filters span 0 Hz to the Nyquist frequency. The result has the leading
-    shape of the input and N_FILTERS on the last axis.
+    shape of the input and N_FILTERS on the last axis. A frame longer than
+    the FFT is a DataError, since the audio's rate sets the frame length.
     """
     frames = np.asarray(frames, dtype=np.float64)
     win = frames.shape[-1]
-    if FFT_SIZE < win:
-        raise ConfigError(f"fft_size {FFT_SIZE} smaller than frame length {win}")
+    if win > FFT_SIZE:
+        raise DataError(f"{sample_rate} Hz audio gives {win}-sample frames, "
+                        f"longer than fft_size {FFT_SIZE}")
     filterbank = mel_filterbank(N_FILTERS, FFT_SIZE, sample_rate, 0.0, sample_rate / 2.0)
     spectrum = np.fft.rfft(frames * np.hamming(win), n=FFT_SIZE, axis=-1)
     power = (spectrum.real ** 2 + spectrum.imag ** 2) / FFT_SIZE
@@ -178,11 +182,7 @@ def standardize(x: Tensor | np.ndarray) -> Tensor:
 
 def mfec_matrix(clip: AudioClip) -> np.ndarray:
     """Static log filterbank energies [frames, N_FILTERS] for a clip."""
-    frames = frame_signal(clip)
-    if frames.shape[1] > FFT_SIZE:
-        raise DataError(f"{clip.sample_rate} Hz audio gives {frames.shape[1]}-sample "
-                        f"{FRAME_MS} ms frames, longer than fft_size {FFT_SIZE}")
-    return mel_filterbank_energies(frames, clip.sample_rate)
+    return mel_filterbank_energies(frame_signal(clip), clip.sample_rate)
 
 
 def build_speech_cube(clip: AudioClip, cfg: SpeechConfig | None = None,

@@ -20,10 +20,9 @@ import numpy as np
 
 from .errors import ConfigError
 from .io import write_pgm, write_wav
-from .visual import TARGET_H, TARGET_W
+from .speech import SAMPLE_RATE
+from .visual import FPS, TARGET_H, TARGET_W
 
-SAMPLE_RATE = 16000
-FPS = 30
 ENVELOPE_SIGMA_S = 0.06   # smoothing width; sets decorrelation speed
 NOISE_LEVEL = 0.01
 

@@ -173,32 +173,6 @@ def op_result(out_data, inputs, backward_fn) -> Tensor:
     return out
 
 
-def create(shape, fill=0.0, seed: int | None = None, dtype=np.float64,
-           requires_grad: bool = False) -> Tensor:
-    """Build a tensor of the given shape.
-
-    ``fill`` is either a scalar or a random spec tuple:
-    ``("uniform", lo, hi)`` or ``("normal", mean, std)``. Random content is
-    deterministic for a given (spec, seed).
-    """
-    shape = tuple(int(s) for s in shape)
-    if any(s < 1 for s in shape):
-        raise ShapeError(f"all extents must be >= 1, got {shape}")
-    if isinstance(fill, tuple):
-        kind = fill[0]
-        rng = np.random.default_rng(seed)
-        if kind == "uniform":
-            data = rng.uniform(fill[1], fill[2], size=shape)
-        elif kind == "normal":
-            data = rng.normal(fill[1], fill[2], size=shape)
-        else:
-            raise ContractError(f"unknown random spec {kind!r}")
-        data = data.astype(dtype)
-    else:
-        data = np.full(shape, fill, dtype=dtype)
-    return Tensor(data, requires_grad=requires_grad)
-
-
 def _operand(a: Tensor, b):
     """(inputs, value) for a second operand: a tensor of a's exact shape, or a
     plain number taken as a scalar of a's dtype (no general broadcasting)."""

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import ctypes
 import ctypes.util
-import hashlib
 import math
 from dataclasses import dataclass, field, fields, replace
 
@@ -112,8 +111,8 @@ class PackedPairs:
 def pack_pairs(pairs, dtype=np.float32) -> PackedPairs:
     if not pairs:
         raise ContractError("cannot pack an empty pair list")
-    speech = np.stack([p.speech.values.data for p in pairs]).astype(dtype)
-    visual = np.stack([p.visual.values.data for p in pairs]).astype(dtype)
+    speech = np.stack([p.speech.values.data for p in pairs], dtype=dtype)
+    visual = np.stack([p.visual.values.data for p in pairs], dtype=dtype)
     labels = np.array([p.label for p in pairs], dtype=np.int64)
     subjects = np.array([p.subject_id for p in pairs], dtype=object)
     return PackedPairs(speech, visual, labels, subjects)
@@ -180,37 +179,21 @@ def frozen_distances(model: CoupledModel, speech: np.ndarray, visual: np.ndarray
     return _distances(model, speech, visual, "frozen").data.astype(np.float64)
 
 
-def _distinct_rows(x: np.ndarray):
-    """Index of each distinct row's first copy, and each row's place among them.
-
-    Two rows merge only when every byte is equal: a digest finds the
-    candidates and a byte comparison confirms them, so a collision cannot
-    merge two cubes.
-    """
-    firsts = []
-    inverse = np.empty(len(x), dtype=np.intp)
-    by_digest = {}
-    for i, row in enumerate(x):
-        raw = row.tobytes()
-        same = by_digest.setdefault(hashlib.blake2b(raw).digest(), [])
-        k = next((j for j in same if x[firsts[j]].tobytes() == raw), None)
-        if k is None:
-            k = len(firsts)
-            firsts.append(i)
-            same.append(k)
-        inverse[i] = k
-    return np.array(firsts, dtype=np.intp), inverse
-
-
 def _embed_distinct(embed, x: np.ndarray) -> np.ndarray:
     """Infer-mode embeddings of x's rows, each distinct row embedded once.
 
-    The distinct rows go in near-equal chunks of at most SCORE_BATCH: OpenBLAS
-    rounds a batch of 1-3 samples differently from the same samples in a
-    larger batch, and equal chunks leave no such tail unless every chunk is
-    that small.
+    Two rows are one only when every byte is equal, so -0.0 and 0.0 stay
+    apart: each row is compared as one opaque byte string. The distinct rows,
+    in order of first appearance, go in near-equal chunks of at most
+    SCORE_BATCH: OpenBLAS rounds a batch of 1-3 samples differently from the
+    same samples in a larger batch, and equal chunks leave no such tail
+    unless every chunk is that small.
     """
-    firsts, inverse = _distinct_rows(x)
+    rows = np.ascontiguousarray(x).reshape(len(x), -1)
+    keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+    _, firsts, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(firsts)
+    firsts, inverse = firsts[order], np.argsort(order)[inverse]
     chunks = np.array_split(firsts, -(-len(firsts) // SCORE_BATCH))
     return np.concatenate([embed(x[idx], mode="infer").data for idx in chunks])[inverse]
 

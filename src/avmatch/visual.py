@@ -15,6 +15,7 @@ from .errors import DataError
 from .speech import standardize
 from .tensor import Tensor
 
+FPS = 30
 FRAME_COUNT = 9
 TARGET_H = 60
 TARGET_W = 100

@@ -175,12 +175,38 @@ class TestFeaturesCommand:
         rc = main(["features", "audio", "--manifest", str(manifest),
                    "--out-dir", str(out_dir)])
         assert rc == EXIT_DATA
-        assert f"error: {nan_wav}: {nan_wav}: non-finite sample at 0.500000 s" \
-            in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: {nan_wav}: non-finite sample at 0.500000 s" in err
+        assert f"{nan_wav}: {nan_wav}:" not in err
         written = sorted(p.name for p in out_dir.glob("*.avcb"))
         expected = sorted(f"{row['subject_id']}_{i:04d}.avcb"
                           for i, row in enumerate(rows) if i != 1)
         assert written == expected
+
+    def test_manifest_mode_names_too_short_wav_once(self, corpus, tmp_path, capsys):
+        short_wav = tmp_path / "short.wav"
+        avio.write_wav(short_wav, np.zeros(100), 16000)   # under one 320-sample frame
+        manifest, rows = _edited_manifest(corpus, tmp_path, 1, audio_path=str(short_wav))
+        out_dir = tmp_path / "cubes"
+        rc = main(["features", "audio", "--manifest", str(manifest),
+                   "--out-dir", str(out_dir)])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"error: {short_wav}: clip of 100 samples" in err
+        assert f"{short_wav}: {short_wav}:" not in err
+        written = sorted(p.name for p in out_dir.glob("*.avcb"))
+        expected = sorted(f"{row['subject_id']}_{i:04d}.avcb"
+                          for i, row in enumerate(rows) if i != 1)
+        assert written == expected
+
+    def test_20hz_wav_is_data_error(self, tmp_path, capsys):
+        wav = tmp_path / "lo.wav"
+        avio.write_wav(wav, np.zeros(20), 20)
+        out = tmp_path / "x.avcb"
+        rc = main(["features", "audio", "--in", str(wav), "--out", str(out)])
+        assert rc == EXIT_DATA
+        assert "20 Hz" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_finite_packed_frame_is_data_error(self, tmp_path, capsys):
         frames = np.zeros((12, 60, 100), dtype=np.float32)
@@ -417,6 +443,12 @@ class TestMalformedValues:
     def test_eval_folds_checked_before_any_input_is_read(self, tmp_path):
         rc = main(["eval", "--ckpt", str(tmp_path / "missing.avck"),
                    "--manifest", str(tmp_path / "missing.csv"), "--folds", "1",
+                   "--out-dir", str(tmp_path / "eval")])
+        assert rc == EXIT_USAGE
+
+    def test_eval_shift_checked_before_any_input_is_read(self, tmp_path):
+        rc = main(["eval", "--ckpt", str(tmp_path / "missing.avck"),
+                   "--manifest", str(tmp_path / "missing.csv"), "--shift", "inf",
                    "--out-dir", str(tmp_path / "eval")])
         assert rc == EXIT_USAGE
 

@@ -49,6 +49,11 @@ class TestFraming:
         with pytest.raises(DataError):
             frame_signal(AudioClip(np.zeros(10), 16000))
 
+    def test_rate_below_one_sample_per_frame_is_data_error(self):
+        # 20 ms at 20 Hz is 0.4 samples
+        with pytest.raises(DataError, match="20 Hz"):
+            frame_signal(AudioClip(np.zeros(100), 20))
+
     def test_frames_are_contiguous_slices(self):
         clip = AudioClip(np.arange(1000, dtype=float), 16000)
         frames = frame_signal(clip)
@@ -90,7 +95,7 @@ class TestMelEnergies:
             mel_filterbank(40, 512, 16000, 0.0, 9000.0)
 
     def test_fft_shorter_than_frame_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(DataError, match="16000 Hz"):
             mel_filterbank_energies(np.zeros(600))
 
     def test_time_reversal_invariance(self):

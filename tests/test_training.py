@@ -210,6 +210,25 @@ class TestScores:
         assert sum(map(len, batches["audio"])) == 2
         assert d[0] == d[2] and d[0] != d[1]
 
+    def test_negative_zero_is_not_merged_with_zero(self, monkeypatch):
+        # equal as values, apart as bytes: the byte rule embeds both
+        data = repeated_cubes(np.zeros(4, int), np.zeros(4, int))
+        data.visual[:2, 0, 0, 0, 0] = 0.0
+        data.visual[2:, 0, 0, 0, 0] = -0.0
+        model = build_mini_model()
+        batches = embedded_batches(model, monkeypatch)
+        scores(model, data)
+        assert sum(map(len, batches["visual"])) == 2
+        assert sum(map(len, batches["audio"])) == 1
+
+    def test_distinct_cubes_embedded_in_order_of_first_appearance(self, monkeypatch):
+        data = repeated_cubes(np.array([3, 1, 3, 0, 2, 1]), np.array([1, 1, 0, 0, 1, 0]))
+        model = build_mini_model()
+        batches = embedded_batches(model, monkeypatch)
+        scores(model, data)
+        np.testing.assert_array_equal(np.concatenate(batches["visual"]), data.visual[[0, 1, 3, 4]])
+        np.testing.assert_array_equal(np.concatenate(batches["audio"]), data.speech[[0, 2]])
+
     def test_matches_one_batch_and_repeats_exactly(self):
         visual_idx = np.arange(30) % 6
         speech_idx = np.arange(30) // 6 % 2
