@@ -88,6 +88,8 @@ def read_pgm(path) -> np.ndarray:
         width, height, maxval = int(fields[1]), int(fields[2]), int(fields[3])
     except ValueError as exc:
         raise DataError(f"{path}: malformed PGM header") from exc
+    if width < 1 or height < 1:
+        raise DataError(f"{path}: PGM size {width}x{height}; need at least 1x1")
     if maxval != 255:
         raise DataError(f"{path}: only 8-bit PGM supported (maxval {maxval})")
     pos += 1  # single whitespace after maxval
@@ -150,7 +152,8 @@ def _take_array(path, raw: bytes, pos: int):
     """Decode the array record at byte pos; returns (read-only array, next pos)."""
     (rank,), pos = _take(path, raw, pos, "<H")
     extents, pos = _take(path, raw, pos, f"<{rank}I")
-    (payload,), pos = _take(path, raw, pos, f"<{4 * int(np.prod(extents))}s")
+    # math.prod does not wrap: a size past what struct can address is refused as truncation
+    (payload,), pos = _take(path, raw, pos, f"<{4 * math.prod(extents)}s")
     return np.frombuffer(payload, dtype="<f4").reshape(extents), pos
 
 

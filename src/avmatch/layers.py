@@ -19,6 +19,7 @@ from .tensor import Tensor, op_result
 
 MODES = ("train", "frozen", "infer")
 BN_MOMENTUM = 0.1   # weight of the current batch in the running statistics
+BN_EPSILON = 1e-6   # added to the variance before its square root
 
 
 def he_init(shape, fan_in: int, seed=None, dtype=np.float64) -> Tensor:
@@ -120,9 +121,6 @@ class Conv3D(Layer):
         out = op_result(out_data, (xb, self.kernels, self.bias), bw)
         return out.reshape(out.data.shape[1:]) if squeeze else out
 
-    def out_shape(self, in_shape):
-        return _valid_extents(self, in_shape[:3]) + (self.out_ch,)
-
     def parameters(self):
         return [(f"{self.name}.kernels", self.kernels), (f"{self.name}.bias", self.bias)]
 
@@ -160,9 +158,6 @@ class MaxPool3D(Layer):
 
         out = op_result(out_data, (xb,), bw)
         return out.reshape(out.data.shape[1:]) if squeeze else out
-
-    def out_shape(self, in_shape):
-        return _valid_extents(self, in_shape[:3]) + (in_shape[3],)
 
 
 class PReLU(Layer):
@@ -240,10 +235,9 @@ class Dense(Layer):
 class BatchNorm(Layer):
     """Per-channel batch normalization with running statistics for inference."""
 
-    def __init__(self, channels, epsilon=1e-6, dtype=np.float64, name="bn"):
+    def __init__(self, channels, dtype=np.float64, name="bn"):
         self.name = name
         self.channels = channels
-        self.epsilon = epsilon
         self.gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=True)
         self.beta = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
         self.running_mean = np.zeros(channels, dtype=dtype)
@@ -267,7 +261,7 @@ class BatchNorm(Layer):
             mean, var = self.running_mean, self.running_var
             x_hat = x_data - mean
 
-        inv_std = 1.0 / np.sqrt(var + self.epsilon)
+        inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
         x_hat *= inv_std
         gamma_data = self.gamma.data
         out_data = x_hat * gamma_data

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
+from .errors import ContractError
 
 
 @dataclass
@@ -40,7 +40,8 @@ class MetricsReport:
         return out
 
 
-def _split_scores(distances, labels):
+def _sweep(distances, labels):
+    """Validated (TP, FA, n_gen, n_imp): cumulative counts at each unique distance, ascending."""
     d = np.asarray(distances, dtype=np.float64)
     y = np.asarray(labels)
     if d.shape != y.shape or d.ndim != 1:
@@ -51,30 +52,6 @@ def _split_scores(distances, labels):
     imp = d[y == 0]
     if len(gen) == 0 or len(imp) == 0:
         raise ContractError("need at least one genuine and one impostor pair")
-    return gen, imp
-
-
-def verify(distance: float, tau: float) -> bool:
-    """Decision rule: match iff distance <= tau."""
-    if tau < 0:
-        raise ConfigError(f"threshold must be >= 0, got {tau}")
-    return distance <= tau
-
-
-def rates_at(distances, labels, tau: float):
-    """(TPR, FAR, Precision, Recall) at one threshold, inclusive comparison."""
-    gen, imp = _split_scores(distances, labels)
-    tp = int(np.count_nonzero(gen <= tau))
-    fa = int(np.count_nonzero(imp <= tau))
-    tpr = tp / len(gen)
-    far = fa / len(imp)
-    precision = tp / (tp + fa) if (tp + fa) > 0 else 1.0
-    return tpr, far, precision, tpr
-
-
-def _sweep(distances, labels):
-    """Validated (TP, FA, n_gen, n_imp): cumulative counts at each unique distance, ascending."""
-    gen, imp = _split_scores(distances, labels)
     taus = np.unique(np.concatenate([gen, imp]))
     tp = np.searchsorted(np.sort(gen), taus, side="right")
     fa = np.searchsorted(np.sort(imp), taus, side="right")
@@ -126,11 +103,6 @@ def metrics_from_scores(distances, labels) -> MetricsReport:
     )
 
 
-def roc_points(distances, labels):
-    """(FAR, TPR) points, thresholds ascending."""
-    return metrics_from_scores(distances, labels).roc
-
-
 def compute_eer(distances, labels) -> float:
     """Rate where FAR equals FRR, linearly interpolated between sweep points."""
     return metrics_from_scores(distances, labels).eer
@@ -139,11 +111,6 @@ def compute_eer(distances, labels) -> float:
 def compute_auc(distances, labels) -> float:
     """Trapezoidal area under the ROC; equals P(d_gen < d_imp) + 0.5 P(tie)."""
     return metrics_from_scores(distances, labels).auc
-
-
-def pr_points(distances, labels):
-    """(Recall, Precision) points, thresholds ascending."""
-    return metrics_from_scores(distances, labels).pr
 
 
 def compute_ap(distances, labels) -> float:

@@ -39,7 +39,6 @@ class ModelConfig:
     rho: float = 0.5        # dropout probability
     seed: int = 0
     dtype: str = "float32"  # float64 for gradient-check builds
-    reg: str = "squared"    # "squared" (sum of squares) or "norm" (global 2-norm)
 
     def __post_init__(self):
         if self.zeta < 1:
@@ -52,8 +51,6 @@ class ModelConfig:
             raise ConfigError("rho must be in [0, 1)")
         if self.dtype not in ("float32", "float64"):
             raise ConfigError(f"unsupported dtype {self.dtype!r}")
-        if self.reg not in ("squared", "norm"):
-            raise ConfigError(f"unknown regularization kind {self.reg!r}")
 
     @property
     def np_dtype(self):
@@ -127,19 +124,39 @@ class CoupledModel:
             raise ShapeError(f"{stream} input must be {expected} "
                              f"(optionally batched), got {shape}")
 
-    def embed_visual(self, cube, mode="infer", rng=None) -> Tensor:
+    def _visual_input(self, cube) -> Tensor:
         x = cube if isinstance(cube, Tensor) else Tensor(np.asarray(cube, dtype=self.config.np_dtype))
         self._check_input(x, self.visual_input_shape, "visual")
-        return self.visual_net.forward(x, mode=mode, rng=rng)
+        return x
 
-    def embed_audio(self, cube, mode="infer", rng=None) -> Tensor:
+    def _audio_input(self, cube) -> Tensor:
         x = cube if isinstance(cube, Tensor) else Tensor(np.asarray(cube, dtype=self.config.np_dtype))
         self._check_input(x, self.audio_input_shape, "audio")
         if x.data.ndim == 3:          # [15,40,3] runs as a depth-1 volume
             x = x.reshape(x.data.shape + (1,))
         elif x.data.ndim == 4 and x.data.shape[-1] != 1:  # batch [N,15,40,3]
             x = x.reshape(x.data.shape + (1,))
-        return self.audio_net.forward(x, mode=mode, rng=rng)
+        return x
+
+    def embed_visual(self, cube, mode="infer", rng=None) -> Tensor:
+        return self.visual_net.forward(self._visual_input(cube), mode=mode, rng=rng)
+
+    def embed_audio(self, cube, mode="infer", rng=None) -> Tensor:
+        return self.audio_net.forward(self._audio_input(cube), mode=mode, rng=rng)
+
+    def non_finite_source(self, speech, visual) -> str:
+        """Where a batch's non-finite frozen distances come from: the first
+        non-finite parameter, else the first layer whose frozen output is."""
+        for name, p in self.named_parameters():
+            if not np.isfinite(p.data).all():
+                return f"parameter {name} is non-finite"
+        for net, x in ((self.visual_net, self._visual_input(visual)),
+                       (self.audio_net, self._audio_input(speech))):
+            for layer in net.layers:
+                x = layer.forward(x, mode="frozen")
+                if not np.isfinite(x.data).all():
+                    return f"parameters are finite; {net.name}.{layer.name} output is not"
+        return "parameters and every layer output are finite"
 
     def named_parameters(self):
         return self.visual_net.parameters() + self.audio_net.parameters()
@@ -208,8 +225,8 @@ def contrastive_loss(distances: Tensor, labels, config: ModelConfig,
     """Mean contrastive loss over a batch of (distance, label) pairs.
 
     Per pair: Y * 0.5 * D^2 + (1 - Y) * 0.5 * max(0, mu - D)^2, averaged,
-    plus lam times the weight regularizer. Labels are 1 for genuine pairs,
-    0 for impostors.
+    plus lam times the sum of squares of ``weights``. Labels are 1 for
+    genuine pairs, 0 for impostors.
     """
     y = np.asarray(labels, dtype=distances.data.dtype)
     if y.size == 0:
@@ -230,8 +247,6 @@ def contrastive_loss(distances: Tensor, labels, config: ModelConfig,
         for w in weights:
             term = (w * w).sum()
             reg = term if reg is None else reg + term
-        if config.reg == "norm":
-            reg = reg.sqrt()
         loss = loss + reg * config.lam
     return loss
 

@@ -142,11 +142,6 @@ def mfcc_from_mfec(mfec: np.ndarray, n_coeffs: int = N_CEPSTRA) -> np.ndarray:
     return dct(mfec, type=2, norm="ortho", axis=-1)[..., :n_coeffs]
 
 
-def inverse_mfcc(coeffs: np.ndarray) -> np.ndarray:
-    from scipy.fft import idct
-    return idct(np.asarray(coeffs, dtype=np.float64), type=2, norm="ortho", axis=-1)
-
-
 def temporal_derivatives(static: np.ndarray, window: int = 2):
     """Regression deltas over time (axis 0), boundary rows replicated.
 

@@ -153,10 +153,6 @@ class Tape:
 _TAPES: list[Tape] = []
 
 
-def active_tape() -> Tape | None:
-    return _TAPES[-1] if _TAPES else None
-
-
 def op_result(out_data, inputs, backward_fn) -> Tensor:
     """Wrap an op's output and record the op on the active tape.
 
@@ -165,7 +161,7 @@ def op_result(out_data, inputs, backward_fn) -> Tensor:
     inputs' gradients in the order of ``inputs`` (None where none is needed);
     ``backward`` ignores entries past the last input.
     """
-    tape = active_tape()
+    tape = _TAPES[-1] if _TAPES else None
     req = tape is not None and any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=req)
     if req:

@@ -16,12 +16,12 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, DataError
 from .metrics import compute_eer, metrics_from_scores
 from .model import CoupledModel, ModelConfig, batch_distances, contrastive_loss, \
     contrastive_loss_value
 from .pairs import SelectionConfig, select_impostors
-from .tensor import Tape, Tensor, backward, zero_grads
+from .tensor import Tape, Tensor, backward
 
 
 _ARENA_TUNED = False
@@ -125,15 +125,14 @@ class SGDMomentum:
         self.velocity = [np.zeros_like(p.data) for p in self.params]
 
     def step(self):
+        """Apply each parameter's gradient, then clear it."""
         for p, v in zip(self.params, self.velocity):
             if p.grad is None:
                 continue
             v *= SGDM_MOMENTUM
             v += p.grad
+            p.grad = None
             p.data -= (self.lr * v).astype(p.data.dtype, copy=False)
-
-    def zero_grad(self):
-        zero_grads(self.params)
 
 
 class Adam:
@@ -145,6 +144,7 @@ class Adam:
         self.t = 0
 
     def step(self):
+        """Apply each parameter's gradient, then clear it."""
         self.t += 1
         b1, b2 = ADAM_BETA1, ADAM_BETA2
         scale = self.lr * np.sqrt(1 - b2 ** self.t) / (1 - b1 ** self.t)
@@ -155,10 +155,8 @@ class Adam:
             m += (1 - b1) * p.grad
             v *= b2
             v += (1 - b2) * (p.grad * p.grad)
+            p.grad = None
             p.data -= (scale * m / (np.sqrt(v) + ADAM_EPS)).astype(p.data.dtype, copy=False)
-
-    def zero_grad(self):
-        zero_grads(self.params)
 
 
 def make_optimizer(model: CoupledModel, cfg: TrainConfig):
@@ -235,6 +233,9 @@ def train_epoch(model: CoupledModel, data: PackedPairs, cfg: TrainConfig,
         labels = data.labels[idx]
 
         dist = frozen_distances(model, speech, visual)
+        if not np.isfinite(dist).all():
+            raise DataError(f"epoch {epoch} step {step}: non-finite distance; "
+                            f"{model.non_finite_source(speech, visual)}")
         losses.append(contrastive_loss_value(dist, labels, mcfg.mu))
 
         train_idx = np.arange(len(idx))
@@ -255,7 +256,6 @@ def train_epoch(model: CoupledModel, data: PackedPairs, cfg: TrainConfig,
                                     weights=model.weight_tensors())
             backward(loss, tape)
         optimizer.step()
-        optimizer.zero_grad()
         steps += 1
 
     if not losses:
@@ -332,7 +332,7 @@ def cross_validate(data: PackedPairs, grid, model_cfg: ModelConfig,
     """Pick the grid point with the lowest mean held-out-fold EER.
 
     Hyperparameter names in each grid point override ModelConfig fields
-    (zeta, mu, lam, rho, seed, dtype, reg). Online pair selection is disabled
+    (zeta, mu, lam, rho, seed, dtype). Online pair selection is disabled
     during cross-validation, so its eta0 is not a grid axis; selection only
     applies to the final training run.
     """

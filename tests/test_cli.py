@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -233,6 +234,23 @@ class TestFeaturesCommand:
         rc = main(["features", "video", "--cube", str(packed),
                    "--out", str(tmp_path / "v.avcb")])
         assert rc == EXIT_DATA
+
+    def test_frame_cube_extents_past_int64_exit_2(self, tmp_path):
+        packed = tmp_path / "frames.avcb"
+        packed.write_bytes(avio._header(avio.CUBE_MAGIC) + struct.pack("<H4I", 4, *[65536] * 4))
+        rc = main(["features", "video", "--cube", str(packed),
+                   "--out", str(tmp_path / "v.avcb")])
+        assert rc == EXIT_DATA
+
+    @pytest.mark.parametrize("size", [b"-3 -2", b"0 0"])
+    def test_frame_below_one_pixel_exits_2(self, tmp_path, capsys, size):
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        (frames / "f000.pgm").write_bytes(b"P5\n" + size + b"\n255\n" + bytes(6))
+        rc = main(["features", "video", "--frames", str(frames),
+                   "--out", str(tmp_path / "v.avcb")])
+        assert rc == EXIT_DATA
+        assert "f000.pgm: PGM size" in capsys.readouterr().err
 
 
 class TestUsageErrors:

@@ -77,6 +77,14 @@ class TestPgm:
         with pytest.raises(DataError):
             avio.read_pgm(path)
 
+    @pytest.mark.parametrize("size", [b"-3 -2", b"0 0"])
+    def test_size_below_one_pixel_refused(self, tmp_path, size):
+        # 6 payload bytes match -3 x -2, so only the size check can refuse it
+        path = tmp_path / "z.pgm"
+        path.write_bytes(b"P5\n" + size + b"\n255\n" + bytes(6))
+        with pytest.raises(DataError, match=r"z\.pgm: PGM size"):
+            avio.read_pgm(path)
+
     def test_frame_dir_sorted(self, tmp_path):
         for i in (2, 0, 1):
             avio.write_pgm(tmp_path / f"frame{i:03d}.pgm", np.full((2, 2), i, np.uint8))
@@ -132,6 +140,13 @@ class TestCubeFile:
         avio.write_cube(path, np.zeros((4, 4), dtype=np.float32))
         path.write_bytes(path.read_bytes() + bytes(6))
         with pytest.raises(DataError, match="6 unexpected bytes"):
+            avio.read_cube(path)
+
+    def test_extents_past_int64_refused(self, tmp_path):
+        # 4 * 65536**4 payload bytes wrap to 0 in int64 arithmetic
+        path = tmp_path / "huge.avcb"
+        path.write_bytes(avio._header(avio.CUBE_MAGIC) + struct.pack("<H4I", 4, *[65536] * 4))
+        with pytest.raises(DataError, match="truncated"):
             avio.read_cube(path)
 
 
@@ -198,6 +213,16 @@ class TestCheckpoint:
         name, buffer = model.named_buffers()[-1]
         path.write_bytes(bytes(raw) + avio._pack_blob(name, buffer))
         with pytest.raises(DataError, match="repeated blob"):
+            avio.load_checkpoint(path)
+
+    def test_blob_extents_past_int64_refused(self, tmp_path, model):
+        path = tmp_path / "huge.avck"
+        avio.save_checkpoint(path, model)
+        name, _ = model.named_parameters()[0]
+        key = struct.pack("<H", len(name)) + name.encode()
+        raw = path.read_bytes()
+        path.write_bytes(raw[:raw.index(key) + len(key)] + struct.pack("<H4I", 4, *[65536] * 4))
+        with pytest.raises(DataError, match="truncated"):
             avio.load_checkpoint(path)
 
     def test_nan_parameter_refused_naming_blob(self, tmp_path, model):

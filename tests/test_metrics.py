@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
 
-from avmatch.errors import ConfigError, ContractError
-from avmatch.metrics import (compute_ap, compute_auc, compute_eer,
-                             metrics_from_scores, pr_points, rates_at,
-                             roc_points, verify)
+from avmatch.errors import ContractError
+from avmatch.metrics import compute_ap, compute_auc, compute_eer, metrics_from_scores
 
 
 def random_scores(seed, n=50, separation=0.0):
@@ -41,51 +39,29 @@ def mann_whitney_auc(d, y):
     return (wins + 0.5 * ties) / (len(gen) * len(imp))
 
 
-class TestVerify:
-    def test_match(self):
-        assert verify(0.3, 0.5)
-
-    def test_boundary_inclusive(self):
-        assert verify(0.5, 0.5)
-
-    def test_non_match(self):
-        assert not verify(0.6, 0.5)
-
-    def test_negative_threshold(self):
-        with pytest.raises(ConfigError):
-            verify(0.1, -0.5)
-
-
 class TestRates:
-    def test_perfect_separation(self):
-        d = np.array([0.1, 0.2, 0.9, 1.0])
-        y = np.array([1, 1, 0, 0])
-        tpr, far, precision, recall = rates_at(d, y, 0.5)
-        assert (tpr, far, precision, recall) == (1.0, 0.0, 1.0, 1.0)
-
-    def test_zero_threshold(self):
-        d = np.array([0.1, 0.2, 0.9])
-        y = np.array([1, 1, 0])
-        tpr, far, precision, _ = rates_at(d, y, 0.0)
-        assert (tpr, far) == (0.0, 0.0)
-        assert precision == 1.0   # vacuous-retrieval convention
-
     @pytest.mark.parametrize("seed", range(10))
     def test_counting_oracle_at_20_thresholds(self, seed):
-        d, y = random_scores(seed)
-        gen, imp = d[y == 1], d[y == 0]
-        for tau in np.linspace(0, 1.2, 20):
-            tpr, far, precision, recall = rates_at(d, y, tau)
-            tp = sum(1 for v in gen if v <= tau)
-            fa = sum(1 for v in imp if v <= tau)
-            assert tpr == tp / len(gen)
-            assert far == fa / len(imp)
-            assert precision == (tp / (tp + fa) if tp + fa else 1.0)
-            assert recall == tpr
+        # 20 scores: without ties the sweep has 20 thresholds, with ties fewer
+        for ties in (False, True):
+            d, y = random_scores(seed, n=20)
+            if ties:
+                d = np.round(d, 1)
+            assert (len(np.unique(d)) < len(d)) == ties
+            gen, imp = d[y == 1], d[y == 0]
+            report = metrics_from_scores(d, y)
+            roc, pr = [(0.0, 0.0)], []
+            for tau in sorted(set(d.tolist())):
+                tp = sum(1 for v in gen if v <= tau)
+                fa = sum(1 for v in imp if v <= tau)
+                roc.append((fa / len(imp), tp / len(gen)))
+                pr.append((tp / len(gen), tp / (tp + fa)))
+            assert report.roc == roc
+            assert report.pr == pr
 
     def test_empty_class_rejected(self):
         with pytest.raises(ContractError):
-            rates_at(np.array([0.1, 0.2]), np.array([1, 1]), 0.5)
+            metrics_from_scores(np.array([0.1, 0.2]), np.array([1, 1]))
 
 
 class TestEER:
@@ -159,7 +135,7 @@ class TestInvariances:
 
     def test_roc_monotone_and_endpoints(self):
         d, y = random_scores(9, n=70)
-        pts = roc_points(d, y)
+        pts = metrics_from_scores(d, y).roc
         far = [p[0] for p in pts]
         tpr = [p[1] for p in pts]
         assert far[0] == 0.0
@@ -180,7 +156,7 @@ class TestInvariances:
         assert 0 <= report.eer <= 1 and 0 <= report.auc <= 1 and 0 <= report.ap <= 1
         assert report.n_gen == int(np.sum(y == 1))
         assert report.n_imp == int(np.sum(y == 0))
-        assert len(report.pr) == len(pr_points(d, y))
+        assert len(report.pr) == len(report.roc) - 1
 
     @pytest.mark.parametrize("ties", [False, True])
     def test_single_metric_functions_are_report_fields(self, ties):
@@ -192,5 +168,3 @@ class TestInvariances:
         assert compute_eer(d, y) == report.eer
         assert compute_auc(d, y) == report.auc
         assert compute_ap(d, y) == report.ap
-        assert roc_points(d, y) == report.roc
-        assert pr_points(d, y) == report.pr

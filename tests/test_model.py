@@ -87,7 +87,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("kwargs", [
         {"zeta": 0}, {"mu": 0.0}, {"mu": -1.0}, {"lam": -0.1},
-        {"rho": 1.0}, {"rho": -0.2}, {"dtype": "float16"}, {"reg": "l1"},
+        {"rho": 1.0}, {"rho": -0.2}, {"dtype": "float16"},
     ])
     def test_invalid_config(self, kwargs):
         with pytest.raises(ConfigError):
@@ -185,12 +185,6 @@ class TestContrastiveLoss:
     def test_regularizer_squared_norm(self):
         cfg = ModelConfig(mu=1.0, lam=0.5)
         w = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
-        loss = contrastive_loss(Tensor([1.0]), np.array([0]), cfg, weights=[w])
-        assert loss.item() == pytest.approx(0.5 * 5.0)
-
-    def test_regularizer_literal_norm_option(self):
-        cfg = ModelConfig(mu=1.0, lam=0.5, reg="norm")
-        w = Tensor(np.array([[3.0, 4.0]]), requires_grad=True)
         loss = contrastive_loss(Tensor([1.0]), np.array([0]), cfg, weights=[w])
         assert loss.item() == pytest.approx(0.5 * 5.0)
 

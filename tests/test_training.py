@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import avmatch.training as training
-from avmatch.errors import ConfigError, ContractError
+from avmatch.errors import ConfigError, ContractError, DataError
 from avmatch.model import ModelConfig
 from avmatch.pairs import SelectionConfig
 from avmatch.tensor import Tensor
@@ -133,6 +133,32 @@ class TestTrainEpoch:
         opt = make_optimizer(model, cfg)
         stats = train_epoch(model, data, cfg, epoch=0, optimizer=opt)
         assert 0.0 <= stats.selection_rate <= 1.0
+
+    @pytest.mark.parametrize("optimizer", ["sgdm", "adam"])
+    def test_step_applies_and_clears_gradients(self, optimizer):
+        model = build_mini_model()
+        opt = make_optimizer(model, mini_train_cfg(optimizer=optimizer))
+        for p in model.parameters():
+            p.grad = np.ones_like(p.data)
+        before = model.state_checksum()
+        opt.step()
+        assert model.state_checksum() != before
+        assert all(p.grad is None for p in model.parameters())
+
+    def test_nan_kernel_named(self):
+        model = build_mini_model()
+        model.visual_net.layers[4].kernels.data[0, 0, 0, 0, 0] = np.nan   # visual conv2
+        with pytest.raises(DataError, match="epoch 0 step 0: .*parameter visual.conv2.kernels"), \
+                np.errstate(invalid="ignore"):
+            fit(model, toy_data(16), mini_train_cfg())
+
+    def test_diverging_run_raises(self):
+        model = build_mini_model()
+        # the steps overflow the first block's output before any parameter
+        with pytest.raises(DataError, match=r"non-finite distance; parameters are finite; "
+                                            r"visual\.prelu1 output is not"), \
+                np.errstate(all="ignore"):
+            fit(model, toy_data(24), mini_train_cfg(learning_rate=1e30, max_epochs=3))
 
     def test_adam_option(self):
         data = toy_data(12)
