@@ -343,7 +343,11 @@ def main(argv=None) -> int:
         if getattr(args, "config", None):
             # the file's values become defaults, so flags given on the command line win
             args = build_parser(_load_config_file(args.config)).parse_args(argv)
-        return args.func(args)
+        # non-finite values are checked where they enter (audio, cubes,
+        # checkpoints) and where a run diverges (the fit guard names the
+        # layer), so numpy's own overflow warnings would only say it first
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"avmatch: {exc}", file=sys.stderr)
         return EXIT_USAGE

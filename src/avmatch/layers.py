@@ -8,6 +8,18 @@ the way out. Forward behaviour depends on ``mode``:
   train   batch statistics, running-stat updates, dropout active
   frozen  batch statistics, no state updates, no dropout (selection pass)
   infer   running statistics, no dropout
+
+A LayerStack runs each BatchNorm -> PReLU -> MaxPool3D run pooled first, in
+every mode: the batch statistics come from the whole input, then the window
+extremes of the input are pooled and only the pooled tensor is normalised
+and activated. Per channel, f = PReLU(gamma * (x - mean) / std + beta) is
+either non-decreasing (gamma > 0, slope >= 0) or, being piecewise linear,
+monotone or convex; so a window's maximum of f is f of the window's maximum
+of x, or the larger of f at its maximum and at its minimum. Rounding is
+monotone too, so this holds bit for bit. Tie rule: where two elements of a
+window tie only after f (a zero slope sends every negative input to 0), the
+gradient goes to the larger input, and among equal inputs to the first in
+window order. LayerStack.trace runs the layers one by one, as written.
 """
 
 from __future__ import annotations
@@ -64,6 +76,48 @@ def _window_slices(kernel, stride, out_extents):
     for offset in np.ndindex(*kernel):
         yield offset, (slice(None),) + tuple(
             slice(i, i + s * n, s) for i, s, n in zip(offset, stride, out_extents))
+
+
+def _pool(data, slices, extreme):
+    """Per-window ``extreme`` (np.maximum or np.minimum) of [N,T,H,W,C] data.
+
+    One elementwise extreme per kernel offset, one sample at a time so that
+    the sample stays in cache; a reduction over the strided window view walks
+    memory far less efficiently.
+    """
+    out = data[slices[0]].copy()
+    for n in range(len(data)):
+        one, sample = out[n:n + 1], data[n:n + 1]
+        for index in slices[1:]:
+            extreme(one, sample[index], out=one)
+    return out
+
+
+def _first_hits(data, pooled, slices):
+    """Per window, the flat kernel offset of its first element equal to its
+    pooled value, counted as the offsets before that element; len(slices)
+    where none is (a window holding a NaN)."""
+    first = np.zeros(pooled.shape, dtype=np.uint8)
+    found = np.zeros(pooled.shape, dtype=bool)
+    hit = np.empty(pooled.shape, dtype=bool)
+    for index in slices:
+        found |= np.equal(data[index], pooled, out=hit)
+        first += ~found
+    return first
+
+
+def _scatter(first, g, gx, kernel, stride):
+    """Add each window's gradient g into gx, a C-contiguous [N,T,H,W,C]
+    array, at the kernel offset ``first`` names; a window past the kernel's
+    offsets adds nothing."""
+    steps = np.cumprod((1,) + gx.shape[:0:-1])[::-1]   # element strides of gx
+    at = np.zeros((), dtype=np.intp)
+    for n, s, step in zip(first.shape, (1,) + stride + (1,), steps):
+        at = np.add.outer(at, np.arange(n) * (s * step))   # each window's first element
+    offsets = [np.dot(offset, steps[1:4]) for offset in np.ndindex(*kernel)]
+    at += np.array(offsets + [0])[first]
+    g = np.where(first < len(offsets), g, 0)
+    np.add.at(gx.reshape(-1), at.reshape(-1), g.reshape(-1))
 
 
 class Layer:
@@ -138,22 +192,12 @@ class MaxPool3D(Layer):
         extents = _valid_extents(self, xb.data.shape[1:4])
 
         x_data = xb.data
-        # one elementwise maximum per kernel offset; a reduction over the
-        # strided window view walks memory far less efficiently
         slices = [index for _, index in _window_slices(self.kernel, self.stride, extents)]
-        out_data = x_data[slices[0]].copy()
-        for index in slices[1:]:
-            np.maximum(out_data, x_data[index], out=out_data)
+        out_data = _pool(x_data, slices, np.maximum)
 
         def bw(g):
-            # route each window's gradient to its first maximum, sweeping the
-            # window offsets in flat order so ties break on the lowest index
             gx = np.zeros(x_data.shape, dtype=g.dtype)
-            remaining = np.ones(out_data.shape, dtype=bool)
-            for index in slices:
-                hit = (x_data[index] == out_data) & remaining
-                gx[index] += g * hit
-                remaining &= ~hit
+            _scatter(_first_hits(x_data, out_data, slices), g, gx, self.kernel, self.stride)
             return (gx,)
 
         out = op_result(out_data, (xb,), bw)
@@ -243,25 +287,28 @@ class BatchNorm(Layer):
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
 
-    def forward(self, x: Tensor, mode="infer", rng=None) -> Tensor:
-        x_data = x.data
+    def _moments(self, x_data: np.ndarray, mode: str):
+        """(mean, 1 / std) under ``mode``'s statistics; train mode also
+        updates the running statistics."""
         if x_data.shape[-1] != self.channels:
             raise ShapeError(f"{self.name}: expected {self.channels} channels, got {x_data.shape[-1]}")
-        if mode in ("train", "frozen"):
-            if x_data.ndim < 2 or x_data.shape[0] < 2:
-                raise ContractError(f"{self.name}: batch statistics need a batch of >= 2")
-            axes = tuple(range(x_data.ndim - 1))
-            mean = x_data.mean(axis=axes)
-            x_hat = x_data - mean
-            var = np.square(x_hat).mean(axis=axes)   # the bits of x_data.var(axis=axes)
-            if mode == "train":
-                self.running_mean += BN_MOMENTUM * (mean - self.running_mean)
-                self.running_var += BN_MOMENTUM * (var - self.running_var)
-        else:
-            mean, var = self.running_mean, self.running_var
-            x_hat = x_data - mean
+        if mode not in ("train", "frozen"):
+            return self.running_mean, 1.0 / np.sqrt(self.running_var + BN_EPSILON)
+        if x_data.ndim < 2 or x_data.shape[0] < 2:
+            raise ContractError(f"{self.name}: batch statistics need a batch of >= 2")
+        axes = tuple(range(x_data.ndim - 1))
+        mean = x_data.mean(axis=axes)
+        squares = x_data - mean
+        var = np.square(squares, out=squares).mean(axis=axes)   # the bits of x_data.var(axis=axes)
+        if mode == "train":
+            self.running_mean += BN_MOMENTUM * (mean - self.running_mean)
+            self.running_var += BN_MOMENTUM * (var - self.running_var)
+        return mean, 1.0 / np.sqrt(var + BN_EPSILON)
 
-        inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
+    def forward(self, x: Tensor, mode="infer", rng=None) -> Tensor:
+        x_data = x.data
+        mean, inv_std = self._moments(x_data, mode)
+        x_hat = x_data - mean
         x_hat *= inv_std
         gamma_data = self.gamma.data
         out_data = x_hat * gamma_data
@@ -325,18 +372,146 @@ class Dropout(Layer):
         return op_result(x.data * mask, (x,), bw)
 
 
+class PooledNorm:
+    """The batch norm of a BatchNorm -> PReLU -> MaxPool3D run, applied to
+    the window extremes of its input only (see the module notes).
+
+    The output stacks K candidates per pooled position, [K, *pooled shape]:
+    the normalised window maxima and, when some channel's PReLU of the batch
+    norm is not non-decreasing, the window minima of those channels (K=2;
+    the other channels repeat their maxima). The PReLU then runs on the
+    candidates and CandidateMax keeps the larger of the two.
+    """
+
+    def __init__(self, bn: BatchNorm, prelu: PReLU, pool: MaxPool3D):
+        self.name = bn.name
+        self.bn, self.prelu, self.pool = bn, prelu, pool
+
+    def forward(self, x: Tensor, mode="infer", rng=None) -> Tensor:
+        bn, pool, x_data = self.bn, self.pool, x.data
+        if x_data.ndim not in (4, 5):
+            raise ShapeError(f"expected rank-4 [T,H,W,C] or rank-5 [N,T,H,W,C] input, got {x_data.shape}")
+        mean, inv_std = bn._moments(x_data, mode)
+        xb = x_data.reshape((-1,) + x_data.shape[-4:])
+        extents = _valid_extents(pool, xb.shape[1:4])
+        slices = [index for _, index in _window_slices(pool.kernel, pool.stride, extents)]
+        gamma = bn.gamma.data
+        # f = PReLU(gamma * (x - mean) * inv_std + beta) is non-decreasing in x
+        # when gamma > 0 and the slope >= 0; otherwise it is monotone or
+        # convex, so its window maximum sits at the window's max or min of x
+        low = np.flatnonzero(~((gamma > 0) & (self.prelu.slope.data >= 0)))
+        # x - mean rounds monotonically in x, so centring the pooled extremes
+        # of x gives the extremes of the centred input
+        x_max = _pool(xb, slices, np.maximum)
+        x_hat = np.stack([x_max, x_max] if low.size else [x_max])
+        if low.size:
+            x_min = _pool(xb[..., low], slices, np.minimum)
+            x_hat[1][..., low] = x_min
+        x_hat -= mean
+        x_hat *= inv_std
+        out_data = x_hat * gamma
+        out_data += bn.beta.data
+        out_shape = (len(x_hat),) + (x_max.shape if x_data.ndim == 5 else x_max.shape[1:])
+        use_batch_stats = mode in ("train", "frozen")
+        m = x_data.size // bn.channels
+        need_x = x.requires_grad
+
+        def bw(g):
+            g = g.reshape(x_hat.shape)
+            gb = g.reshape(-1, bn.channels).sum(axis=0)
+            gg = (g * x_hat).reshape(-1, bn.channels).sum(axis=0)
+            if not need_x:
+                return (None, gg, gb)
+            gs = g * gamma
+            if use_batch_stats:
+                # BatchNorm's -inv_std * (t1 + x_hat * t2) / m at every input,
+                # as a * (x - mean) + b; t1 and t2 sum over the pooled
+                # positions, the only ones that carry a gradient
+                t1 = gs.reshape(-1, bn.channels).sum(axis=0)
+                t2 = (gs * x_hat).reshape(-1, bn.channels).sum(axis=0)
+                a, b = inv_std * inv_std * t2 / -m, inv_std * t1 / -m
+            gs *= inv_std
+            gx = np.empty_like(xb)
+            # one sample at a time, so that the sample stays in cache while
+            # its window extremes are found and its gradient is written
+            for n in range(len(gx)):
+                one = slice(n, n + 1)
+                first_max = _first_hits(xb[one], x_max[one], slices)
+                if low.size:
+                    x_low = xb[one][..., low]
+                    first_min = _first_hits(x_low, x_min[one], slices)
+                g_one = gx[one]
+                if use_batch_stats:
+                    np.subtract(xb[one], mean, out=g_one)
+                    g_one *= a
+                    g_one += b
+                else:
+                    g_one.fill(0)
+                _scatter(first_max, gs[0, one], g_one, pool.kernel, pool.stride)
+                if low.size:
+                    g_low = np.zeros(x_low.shape, dtype=gx.dtype)
+                    _scatter(first_min, gs[1, one][..., low], g_low, pool.kernel, pool.stride)
+                    g_one[..., low] += g_low
+            return (gx.reshape(x_data.shape), gg, gb)
+
+        return op_result(out_data.reshape(out_shape), (x, bn.gamma, bn.beta), bw)
+
+
+class CandidateMax:
+    """The max-pool of a BatchNorm -> PReLU -> MaxPool3D run: the larger of
+    the two candidates PooledNorm and the PReLU leave, or the one candidate
+    as it is. Ties go to the first candidate, the window maximum."""
+
+    def __init__(self, pool: MaxPool3D):
+        self.name = pool.name
+
+    def forward(self, x: Tensor, mode="infer", rng=None) -> Tensor:
+        if len(x.data) == 1:
+            return x.reshape(x.data.shape[1:])
+        first, second = x.data
+        take_second = second > first
+
+        def bw(g):
+            return (np.stack([np.where(take_second, 0, g), np.where(take_second, g, 0)]),)
+
+        return op_result(np.maximum(first, second), (x,), bw)
+
+
+def _pooled_first(layers):
+    """The layers in order, each BatchNorm -> PReLU -> MaxPool3D run replaced
+    by PooledNorm, the PReLU and CandidateMax, one tape node per layer still."""
+    steps = []
+    i = 0
+    while i < len(layers):
+        run = layers[i:i + 3]
+        if [type(layer) for layer in run] == [BatchNorm, PReLU, MaxPool3D]:
+            bn, prelu, pool = run
+            steps += [PooledNorm(bn, prelu, pool), prelu, CandidateMax(pool)]
+            i += 3
+        else:
+            steps.append(layers[i])
+            i += 1
+    return steps
+
+
 class LayerStack:
-    """Named sequence of layers applied in order."""
+    """Named sequence of layers applied in order.
+
+    ``forward`` runs each BatchNorm -> PReLU -> MaxPool3D run pooled first
+    (see PooledNorm); ``trace`` runs every layer as it stands. Both give the
+    same values.
+    """
 
     def __init__(self, name, layers):
         self.name = name
         self.layers = list(layers)
+        self._steps = _pooled_first(self.layers)
 
     def forward(self, x: Tensor, mode="infer", rng=None) -> Tensor:
         if mode not in MODES:
             raise ContractError(f"unknown mode {mode!r}")
-        for layer in self.layers:
-            x = layer.forward(x, mode=mode, rng=rng)
+        for step in self._steps:
+            x = step.forward(x, mode=mode, rng=rng)
         return x
 
     def trace(self, x: Tensor):

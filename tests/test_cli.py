@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -360,6 +361,20 @@ class TestTrainEvalCommands:
             assert rc == EXIT_OK
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_diverging_run_reports_only_the_guard_line(self, corpus, tmp_path, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["train", "--manifest", str(corpus), "--out", str(tmp_path / "d.avck"),
+                       "--lr", "1e30", "--epochs", "3"])
+        assert rc == EXIT_DATA
+        assert [str(w.message) for w in caught] == []
+        # the pair generator's note on skipped impostors precedes training
+        lines = [line for line in capsys.readouterr().err.splitlines()
+                 if not line.startswith("warning: skipped")]
+        assert len(lines) == 1
+        assert lines[0].startswith("avmatch: epoch 0 step 1: non-finite distance; ")
+        assert not (tmp_path / "d.avck").exists()
 
     def test_eval_emits_metrics_and_curves(self, corpus, trained, tmp_path):
         ckpt, _ = trained

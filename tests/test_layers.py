@@ -3,10 +3,12 @@ import pytest
 
 from avmatch.errors import ConfigError, ContractError, ShapeError
 from avmatch.layers import (BN_EPSILON, BatchNorm, Conv3D, Dense, Dropout, Flatten,
-                            MaxPool3D, PReLU, he_init)
+                            LayerStack, MaxPool3D, PReLU, he_init)
+from avmatch.model import VISUAL_INPUT_SHAPE, CoupledModel, ModelConfig
 from avmatch.tensor import Tape, Tensor, backward
 
 from gradcheck import check_op_gradients
+from minimodel import MINI_AUDIO_SHAPE, MINI_VISUAL_SHAPE, build_mini_model
 
 # (input shape, kernel, stride, expected output) for every conv/pool row of
 # the two stream architectures
@@ -427,6 +429,153 @@ class TestDropout:
             return (out * out).sum()
 
         check_op_gradients(build, [x], context=f"dropout seed {seed}")
+
+
+POOL_WINDOWS = {"overlapping": ((1, 3, 3), (1, 2, 2)), "disjoint": ((1, 2, 1), (1, 2, 1))}
+# gamma > 0, = 0 and < 0 crossed with slope > 0, = 0 and < 0, one pair per channel
+GAMMAS = np.repeat([1.3, 0.0, -0.7], 3)
+SLOPES = np.tile([0.25, 0.0, -0.4], 3)
+
+
+def pooled_block(dtype, window, gammas=GAMMAS, slopes=SLOPES, seed=0):
+    """bn -> prelu -> pool with the given per-channel gammas and slopes, and
+    seeded betas and running statistics."""
+    rng = np.random.default_rng(seed)
+    c = len(gammas)
+    bn, prelu = BatchNorm(c, dtype=dtype, name="bn"), PReLU(c, dtype=dtype, name="prelu")
+    bn.gamma.data[:] = gammas
+    bn.beta.data[:] = rng.standard_normal(c)
+    bn.running_mean[:] = rng.standard_normal(c)
+    bn.running_var[:] = rng.random(c) + 0.5
+    prelu.slope.data[:] = slopes
+    return [bn, prelu, MaxPool3D(*POOL_WINDOWS[window], name="pool")]
+
+
+def block_input(kind, dtype, channels=9):
+    """[3,2,9,7,C] with many exact ties: quarter steps in [-2, 2], a tenth of
+    them zeros of either sign; ``nan`` also puts one NaN in channel 4."""
+    rng = np.random.default_rng(3)
+    x = rng.integers(-8, 9, size=(3, 2, 9, 7, channels)) / 4.0
+    zeros = rng.random(x.shape) < 0.1
+    x[zeros] = np.where(rng.random(zeros.sum()) < 0.5, -0.0, 0.0)
+    if kind == "nan":
+        x[1, 0, 4, 3, 4] = np.nan
+    return x.astype(dtype)
+
+
+def run_block(block, x, mode, g=None):
+    """(output, x grad, [gamma, beta, slope grads]) of ``block``, a LayerStack
+    (pooled first) or a bn -> prelu -> pool list run layer by layer;
+    gradients of sum(out * g) when g is given."""
+    layers = block.layers if isinstance(block, LayerStack) else block
+    params = [layers[0].gamma, layers[0].beta, layers[1].slope]
+    for p in params:
+        p.grad = None
+    xt = Tensor(x, requires_grad=g is not None)
+    with Tape() as tape:
+        if isinstance(block, LayerStack):
+            out = block.forward(xt, mode=mode)
+        else:
+            out = xt
+            for layer in block:
+                out = layer.forward(out, mode=mode)
+        loss = (out * Tensor(g)).sum() if g is not None else None
+    if g is not None:
+        backward(loss, tape)
+    return out.data, xt.grad, [p.grad for p in params]
+
+
+class TestPooledBlock:
+    """A LayerStack runs bn -> prelu -> pool pooled first: it pools the centred
+    input and normalises and activates the pooled tensor. The values equal
+    those of the three layers run one after another."""
+
+    @pytest.mark.parametrize("window", POOL_WINDOWS)
+    @pytest.mark.parametrize("mode", ["train", "frozen", "infer"])
+    @pytest.mark.parametrize("kind", ["ties", "nan"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_and_running_stats_equal_the_layers(self, dtype, kind, mode, window):
+        x = block_input(kind, dtype)
+        layers = pooled_block(dtype, window)
+        stack = LayerStack("s", pooled_block(dtype, window))
+        expected = run_block(layers, x, mode)[0]
+        got = run_block(stack, x, mode)[0]
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected, equal_nan=True)
+        for mine, theirs in zip(stack.layers[0].buffers(), layers[0].buffers()):
+            assert np.array_equal(mine[1], theirs[1], equal_nan=True)
+
+    def test_single_sample_equals_the_layers(self):
+        x = block_input("ties", np.float32)[0]
+        expected = run_block(pooled_block(np.float32, "overlapping"), x, "infer")[0]
+        got = run_block(LayerStack("s", pooled_block(np.float32, "overlapping")), x, "infer")[0]
+        assert got.shape == expected.shape == (2, 4, 3, 9)
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("window", POOL_WINDOWS)
+    @pytest.mark.parametrize("mode", ["train", "frozen", "infer"])
+    def test_float64_gradients_equal_the_layers(self, mode, window):
+        # no channel has gamma or slope 0, and the input has no ties, so no
+        # window's maximum is ambiguous
+        gammas, slopes = np.array([1.3, -0.7, 0.9, -1.1]), np.array([0.25, 0.3, -0.4, -0.2])
+        x = np.random.default_rng(4).standard_normal((3, 2, 9, 7, 4))
+        layers = pooled_block(np.float64, window, gammas, slopes)
+        stack = LayerStack("s", pooled_block(np.float64, window, gammas, slopes))
+        g = np.random.default_rng(5).standard_normal(run_block(layers, x, "infer")[0].shape)
+        out_l, gx_l, gp_l = run_block(layers, x, mode, g)
+        out_s, gx_s, gp_s = run_block(stack, x, mode, g)
+        np.testing.assert_array_equal(out_s, out_l)
+        np.testing.assert_allclose(gx_s, gx_l, rtol=1e-10, atol=1e-14)
+        for mine, theirs in zip(gp_s, gp_l):
+            np.testing.assert_allclose(mine, theirs, rtol=1e-10)
+
+    def test_tie_after_rounding_goes_to_the_larger_centred_value(self):
+        # with slope 0 every negative input activates to -0: the layers route
+        # a window's gradient to its first element, the pooled block to its
+        # largest centred value, so the slope's gradient differs
+        bn, prelu = BatchNorm(1, name="bn"), PReLU(1, init=0.0, name="prelu")
+        stack = LayerStack("s", [bn, prelu, MaxPool3D((1, 2, 1), (1, 2, 1), name="pool")])
+        x = np.array([-2.0, -1.0]).reshape(1, 1, 2, 1, 1)
+        g = np.ones((1, 1, 1, 1, 1))
+        inv_std = 1.0 / np.sqrt(1.0 + BN_EPSILON)
+        assert run_block(stack, x, "infer", g)[2][2] == -1.0 * inv_std
+        assert run_block(stack.layers, x, "infer", g)[2][2] == -2.0 * inv_std
+
+    @pytest.mark.parametrize("stream", ["visual", "audio"])
+    def test_mini_model_block_against_finite_differences(self, stream):
+        model = build_mini_model()
+        net = model.visual_net if stream == "visual" else model.audio_net
+        conv, bn, prelu, _ = net.layers[:4]
+        bn.gamma.data[:] = [-0.8, 1.2]
+        prelu.slope.data[:] = [0.3, -0.4]
+        block = LayerStack(stream, net.layers[:4])
+        shape = MINI_VISUAL_SHAPE if stream == "visual" else MINI_AUDIO_SHAPE + (1,)
+        x = Tensor(np.random.default_rng(6).standard_normal((3,) + shape), requires_grad=True)
+
+        def build():
+            out = block.forward(x, mode="train")
+            return ((out + 0.3) * out).sum()
+
+        check_op_gradients(build, [x, conv.kernels, conv.bias, bn.gamma, bn.beta, prelu.slope],
+                           context=f"pooled {stream} block")
+
+    def test_full_size_float32_gradients_near_the_layers(self):
+        # the first visual block at its full size; the pooled backward sums in
+        # another order, so float32 gradients move in the last bits: the input
+        # gradient by under 1e-6 of its largest entry (1.4e-7 measured at batch
+        # 32), gamma, beta and slope by under 1e-4 of theirs (1.7e-5 measured)
+        model = CoupledModel(ModelConfig(seed=0, dtype="float32"))
+        block = model.visual_net.layers[1:4]
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((8,) + VISUAL_INPUT_SHAPE).astype(np.float32)
+        x = model.visual_net.layers[0].forward(Tensor(x)).data
+        g = rng.standard_normal((8, 7, 28, 48, 16)).astype(np.float32)
+        out_l, gx_l, params_l = run_block(block, x, "train", g)
+        out_s, gx_s, params_s = run_block(LayerStack("visual", block), x, "train", g)
+        assert out_s.tobytes() == out_l.tobytes()
+        assert np.abs(gx_s - gx_l).max() <= 1e-6 * np.abs(gx_l).max()
+        for mine, theirs in zip(params_s, params_l):
+            assert np.abs(mine - theirs).max() <= 1e-4 * np.abs(theirs).max()
 
 
 def every_layer():

@@ -45,6 +45,26 @@ class TestArchitecture:
             assert got[name] == expected, f"{name}: {got[name]} != {expected}"
         assert out.data.shape == (64,)
 
+    @pytest.mark.parametrize("signs", ["as built", "half the gammas and slopes negative"])
+    def test_trace_ends_with_the_forward_bits(self, signs):
+        # trace runs every layer as it stands, forward pools first
+        m = CoupledModel(ModelConfig(seed=2, dtype="float32"))
+        if signs != "as built":
+            for name, p in m.named_parameters():
+                if name.endswith((".gamma", ".slope")):
+                    p.data[::2] *= -1
+        rng = np.random.default_rng(3)
+        # one train pass moves the running statistics off their initial 0 and 1
+        m.embed_visual(rng.standard_normal((2,) + VISUAL_INPUT_SHAPE).astype(np.float32),
+                       mode="train", rng=rng)
+        m.embed_audio(rng.standard_normal((2,) + AUDIO_INPUT_SHAPE).astype(np.float32),
+                      mode="train", rng=rng)
+        xv = Tensor(rng.standard_normal(VISUAL_INPUT_SHAPE).astype(np.float32))
+        xa = Tensor(rng.standard_normal(AUDIO_INPUT_SHAPE + (1,)).astype(np.float32))
+        for net, x in ((m.visual_net, xv), (m.audio_net, xa)):
+            _, traced = net.trace(x)
+            assert traced.data.tobytes() == net.forward(x, mode="infer").data.tobytes()
+
     def test_zero_cube_embeddings_finite(self, model):
         ev = model.embed_visual(np.zeros(VISUAL_INPUT_SHAPE, np.float32))
         ea = model.embed_audio(np.zeros(AUDIO_INPUT_SHAPE, np.float32))
