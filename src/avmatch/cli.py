@@ -135,6 +135,8 @@ def cmd_features_video(args) -> int:
         frames = avio.read_frame_dir(args.frames)
     else:
         raise ConfigError("features video needs --frames or --cube")
+    if args.start < 0:
+        raise ConfigError(f"--start must be >= 0, got {args.start}")
     cube = build_visual_cube(frames, start=args.start)
     avio.write_cube(args.out, cube.values)
     return EXIT_OK
@@ -358,3 +360,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -9,14 +9,14 @@ the way out. Forward behaviour depends on ``mode``:
   frozen  batch statistics, no state updates, no dropout (selection pass)
   infer   running statistics, no dropout
 
-A LayerStack runs each BatchNorm -> PReLU -> MaxPool3D run pooled first, in
-every mode: the batch statistics come from the whole input, then the window
-extremes of the input are pooled and only the pooled tensor is normalised
-and activated. Per channel, f = PReLU(gamma * (x - mean) / std + beta) is
-either non-decreasing (gamma > 0, slope >= 0) or, being piecewise linear,
-monotone or convex; so a window's maximum of f is f of the window's maximum
-of x, or the larger of f at its maximum and at its minimum. Rounding is
-monotone too, so this holds bit for bit. Tie rule: where two elements of a
+A LayerStack runs a BatchNorm -> PReLU -> MaxPool3D run pooled first, in
+every mode, while every channel has gamma > 0 and a slope >= 0: the batch
+statistics come from the whole input, then the window maxima of the input
+are pooled and only the pooled tensor is normalised and activated. Per
+channel, f = PReLU(gamma * (x - mean) / std + beta) is then non-decreasing,
+so a window's maximum of f is f of the window's maximum of x; rounding is
+monotone too, so this holds bit for bit. A run with any other channel goes
+through its three layers as written. Tie rule: where two elements of a
 window tie only after f (a zero slope sends every negative input to 0), the
 gradient goes to the larger input, and among equal inputs to the first in
 window order. LayerStack.trace runs the layers one by one, as written.
@@ -78,10 +78,10 @@ def _window_slices(kernel, stride, out_extents):
             slice(i, i + s * n, s) for i, s, n in zip(offset, stride, out_extents))
 
 
-def _pool(data, slices, extreme):
-    """Per-window ``extreme`` (np.maximum or np.minimum) of [N,T,H,W,C] data.
+def _pool(data, slices):
+    """Per-window maximum of [N,T,H,W,C] data.
 
-    One elementwise extreme per kernel offset, one sample at a time so that
+    One elementwise maximum per kernel offset, one sample at a time so that
     the sample stays in cache; a reduction over the strided window view walks
     memory far less efficiently.
     """
@@ -89,7 +89,7 @@ def _pool(data, slices, extreme):
     for n in range(len(data)):
         one, sample = out[n:n + 1], data[n:n + 1]
         for index in slices[1:]:
-            extreme(one, sample[index], out=one)
+            np.maximum(one, sample[index], out=one)
     return out
 
 
@@ -193,7 +193,7 @@ class MaxPool3D(Layer):
 
         x_data = xb.data
         slices = [index for _, index in _window_slices(self.kernel, self.stride, extents)]
-        out_data = _pool(x_data, slices, np.maximum)
+        out_data = _pool(x_data, slices)
 
         def bw(g):
             gx = np.zeros(x_data.shape, dtype=g.dtype)
@@ -373,19 +373,13 @@ class Dropout(Layer):
 
 
 class PooledNorm:
-    """The batch norm of a BatchNorm -> PReLU -> MaxPool3D run, applied to
-    the window extremes of its input only (see the module notes).
+    """The batch norm of a BatchNorm -> PReLU -> MaxPool3D run whose every
+    channel is non-decreasing, applied to the window maxima of its input only
+    (see the module notes); the PReLU then runs on its output."""
 
-    The output stacks K candidates per pooled position, [K, *pooled shape]:
-    the normalised window maxima and, when some channel's PReLU of the batch
-    norm is not non-decreasing, the window minima of those channels (K=2;
-    the other channels repeat their maxima). The PReLU then runs on the
-    candidates and CandidateMax keeps the larger of the two.
-    """
-
-    def __init__(self, bn: BatchNorm, prelu: PReLU, pool: MaxPool3D):
+    def __init__(self, bn: BatchNorm, pool: MaxPool3D):
         self.name = bn.name
-        self.bn, self.prelu, self.pool = bn, prelu, pool
+        self.bn, self.pool = bn, pool
 
     def forward(self, x: Tensor, mode="infer", rng=None) -> Tensor:
         bn, pool, x_data = self.bn, self.pool, x.data
@@ -396,22 +390,14 @@ class PooledNorm:
         extents = _valid_extents(pool, xb.shape[1:4])
         slices = [index for _, index in _window_slices(pool.kernel, pool.stride, extents)]
         gamma = bn.gamma.data
-        # f = PReLU(gamma * (x - mean) * inv_std + beta) is non-decreasing in x
-        # when gamma > 0 and the slope >= 0; otherwise it is monotone or
-        # convex, so its window maximum sits at the window's max or min of x
-        low = np.flatnonzero(~((gamma > 0) & (self.prelu.slope.data >= 0)))
-        # x - mean rounds monotonically in x, so centring the pooled extremes
-        # of x gives the extremes of the centred input
-        x_max = _pool(xb, slices, np.maximum)
-        x_hat = np.stack([x_max, x_max] if low.size else [x_max])
-        if low.size:
-            x_min = _pool(xb[..., low], slices, np.minimum)
-            x_hat[1][..., low] = x_min
-        x_hat -= mean
+        # x - mean rounds monotonically in x, so centring the pooled maxima
+        # of x gives the maxima of the centred input
+        x_max = _pool(xb, slices)
+        x_hat = x_max - mean
         x_hat *= inv_std
         out_data = x_hat * gamma
         out_data += bn.beta.data
-        out_shape = (len(x_hat),) + (x_max.shape if x_data.ndim == 5 else x_max.shape[1:])
+        out_shape = x_max.shape if x_data.ndim == 5 else x_max.shape[1:]
         use_batch_stats = mode in ("train", "frozen")
         m = x_data.size // bn.channels
         need_x = x.requires_grad
@@ -433,13 +419,9 @@ class PooledNorm:
             gs *= inv_std
             gx = np.empty_like(xb)
             # one sample at a time, so that the sample stays in cache while
-            # its window extremes are found and its gradient is written
+            # its window maxima are found and its gradient is written
             for n in range(len(gx)):
                 one = slice(n, n + 1)
-                first_max = _first_hits(xb[one], x_max[one], slices)
-                if low.size:
-                    x_low = xb[one][..., low]
-                    first_min = _first_hits(x_low, x_min[one], slices)
                 g_one = gx[one]
                 if use_batch_stats:
                     np.subtract(xb[one], mean, out=g_one)
@@ -447,71 +429,49 @@ class PooledNorm:
                     g_one += b
                 else:
                     g_one.fill(0)
-                _scatter(first_max, gs[0, one], g_one, pool.kernel, pool.stride)
-                if low.size:
-                    g_low = np.zeros(x_low.shape, dtype=gx.dtype)
-                    _scatter(first_min, gs[1, one][..., low], g_low, pool.kernel, pool.stride)
-                    g_one[..., low] += g_low
+                _scatter(_first_hits(xb[one], x_max[one], slices), gs[one], g_one,
+                         pool.kernel, pool.stride)
             return (gx.reshape(x_data.shape), gg, gb)
 
         return op_result(out_data.reshape(out_shape), (x, bn.gamma, bn.beta), bw)
 
 
-class CandidateMax:
-    """The max-pool of a BatchNorm -> PReLU -> MaxPool3D run: the larger of
-    the two candidates PooledNorm and the PReLU leave, or the one candidate
-    as it is. Ties go to the first candidate, the window maximum."""
-
-    def __init__(self, pool: MaxPool3D):
-        self.name = pool.name
-
-    def forward(self, x: Tensor, mode="infer", rng=None) -> Tensor:
-        if len(x.data) == 1:
-            return x.reshape(x.data.shape[1:])
-        first, second = x.data
-        take_second = second > first
-
-        def bw(g):
-            return (np.stack([np.where(take_second, 0, g), np.where(take_second, g, 0)]),)
-
-        return op_result(np.maximum(first, second), (x,), bw)
-
-
-def _pooled_first(layers):
-    """The layers in order, each BatchNorm -> PReLU -> MaxPool3D run replaced
-    by PooledNorm, the PReLU and CandidateMax, one tape node per layer still."""
-    steps = []
+def _runs(layers):
+    """The layers in order, each BatchNorm -> PReLU -> MaxPool3D run as one
+    group of three and every other layer as a group of one."""
+    runs = []
     i = 0
     while i < len(layers):
-        run = layers[i:i + 3]
-        if [type(layer) for layer in run] == [BatchNorm, PReLU, MaxPool3D]:
-            bn, prelu, pool = run
-            steps += [PooledNorm(bn, prelu, pool), prelu, CandidateMax(pool)]
-            i += 3
-        else:
-            steps.append(layers[i])
-            i += 1
-    return steps
+        size = 3 if [type(layer) for layer in layers[i:i + 3]] == [BatchNorm, PReLU, MaxPool3D] else 1
+        runs.append(layers[i:i + size])
+        i += size
+    return runs
 
 
 class LayerStack:
     """Named sequence of layers applied in order.
 
-    ``forward`` runs each BatchNorm -> PReLU -> MaxPool3D run pooled first
-    (see PooledNorm); ``trace`` runs every layer as it stands. Both give the
-    same values.
+    ``forward`` runs a BatchNorm -> PReLU -> MaxPool3D run as PooledNorm
+    and the PReLU while every channel has gamma > 0 and a slope >= 0, checked
+    at each call since training moves both; any other run, and ``trace``,
+    go through the layers as written. Both give the same values.
     """
 
     def __init__(self, name, layers):
         self.name = name
         self.layers = list(layers)
-        self._steps = _pooled_first(self.layers)
+        self._runs = _runs(self.layers)
 
     def forward(self, x: Tensor, mode="infer", rng=None) -> Tensor:
         if mode not in MODES:
             raise ContractError(f"unknown mode {mode!r}")
-        for step in self._steps:
-            x = step.forward(x, mode=mode, rng=rng)
+        for run in self._runs:
+            if len(run) == 3:
+                bn, prelu, pool = run
+                if (bn.gamma.data > 0).all() and (prelu.slope.data >= 0).all():
+                    run = [PooledNorm(bn, pool), prelu]
+            for layer in run:
+                x = layer.forward(x, mode=mode, rng=rng)
         return x
 
     def trace(self, x: Tensor):

@@ -76,6 +76,11 @@ class PairConfig:
         if self.fixed_shift_s is not None and not (
                 self.min_shift_s <= self.fixed_shift_s <= self.max_shift_s):
             raise ConfigError("fixed shift outside [min, max] shift range")
+        lo, hi = _shift_choices(self)
+        if lo > hi:
+            raise ConfigError(f"impostor shifts are whole feature hops ({FEATURE_HOP_S} s) "
+                              f"and none lies in the shift range; the nearest are "
+                              f"{hi * FEATURE_HOP_S:g} and {lo * FEATURE_HOP_S:g} s")
 
 
 @dataclass
@@ -86,12 +91,12 @@ class PairGenStats:
 
 
 def _shift_choices(cfg: PairConfig):
-    """Inclusive range of whole feature hops an impostor shift is drawn from."""
-    if cfg.fixed_shift_s is not None:
-        hops = round(cfg.fixed_shift_s / FEATURE_HOP_S)
-        return hops, hops
-    lo = int(np.ceil(round(cfg.min_shift_s / FEATURE_HOP_S, 9)))
-    hi = int(np.floor(round(cfg.max_shift_s / FEATURE_HOP_S, 9)))
+    """Inclusive range of whole feature hops an impostor shift is drawn from;
+    a fixed shift s is the range [s, s]."""
+    lo_s, hi_s = ((cfg.fixed_shift_s,) * 2 if cfg.fixed_shift_s is not None
+                  else (cfg.min_shift_s, cfg.max_shift_s))
+    lo = int(np.ceil(round(lo_s / FEATURE_HOP_S, 9)))
+    hi = int(np.floor(round(hi_s / FEATURE_HOP_S, 9)))
     return lo, hi
 
 

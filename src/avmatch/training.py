@@ -41,9 +41,11 @@ def enable_arena_reuse() -> None:
 
     The batched conv passes allocate and free hundreds of MB per step; with
     glibc's default mmap threshold every step pays mmap + page-zeroing costs.
-    On a 2-vCPU host with one BLAS thread, full-size N=32 steps took 2.8-3.8 s
-    with this tuning against 3.5-4.9 s without (medians 3.0 and 3.9 s). No
-    effect on results; no-op on non-glibc platforms.
+    On a 2-vCPU host with one BLAS thread (perfbench ``train``, ten
+    alternating pairs), full-size N=32 steps took 2.2-3.0 s with this tuning
+    against 2.3-3.6 s without (medians 2.61 and 2.84 s), slower without in 9
+    of the 10 pairs, for the same peak RSS. No effect on results; no-op on
+    non-glibc platforms.
     """
     global _ARENA_TUNED
     if _ARENA_TUNED:

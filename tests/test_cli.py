@@ -27,16 +27,34 @@ def corpus(tmp_path_factory):
     return manifest
 
 
+def checkout_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    src = str(Path(avmatch.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def test_import_skips_scipy_modules_of_single_commands():
     # scipy.fft serves only --mfcc and scipy.ndimage only the corpus generator
-    src = str(Path(avmatch.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = ("import sys, avmatch.cli; "
             "print(sorted(m for m in ('scipy.fft', 'scipy.ndimage') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", code], env=checkout_env(), capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_module_run_executes_the_command(tmp_path):
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "avmatch.cli", *argv], env=checkout_env(),
+                              cwd=tmp_path, capture_output=True, text=True, timeout=120)
+
+    done = run("synth", "--out", "d", "--subjects", "2", "--clips", "1",
+               "--clip-seconds", "1.0")
+    assert done.returncode == EXIT_OK
+    assert len(avio.load_manifest(tmp_path / "d" / "manifest.csv")) == 2
+    bad = run("synth", "--out", "e", "--bogus")
+    assert bad.returncode == EXIT_USAGE and "--bogus" in bad.stderr
+    assert not (tmp_path / "e").exists()
 
 
 class TestSynthCommand:
@@ -117,6 +135,22 @@ class TestFeaturesCommand:
                    "--out", str(out)])
         assert rc == EXIT_OK
         assert avio.read_cube(out).shape == (9, 60, 100, 1)
+
+    def test_negative_video_start_is_usage_error(self, corpus, tmp_path, capsys):
+        rows = avio.load_manifest(corpus)
+        out = tmp_path / "v.avcb"
+        rc = main(["features", "video", "--frames", str(rows[0].frames_dir),
+                   "--start", "-1", "--out", str(out)])
+        assert rc == EXIT_USAGE
+        assert "--start" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_video_start_past_the_frames_is_data_error(self, corpus, tmp_path):
+        rows = avio.load_manifest(corpus)
+        n = len(avio.read_frame_dir(rows[0].frames_dir))
+        rc = main(["features", "video", "--frames", str(rows[0].frames_dir),
+                   "--start", str(n), "--out", str(tmp_path / "v.avcb")])
+        assert rc == EXIT_DATA
 
     def test_manifest_mode_writes_all(self, corpus, tmp_path):
         out_dir = tmp_path / "cubes"
@@ -478,6 +512,20 @@ class TestMalformedValues:
                    "--manifest", str(tmp_path / "missing.csv"), "--folds", "1",
                    "--out-dir", str(tmp_path / "eval")])
         assert rc == EXIT_USAGE
+
+    @pytest.mark.parametrize("shift", ["0.31", "0.33"])
+    def test_shift_without_a_whole_feature_hop_is_usage_error(self, corpus, tmp_path, shift):
+        ckpt = tmp_path / "c.avck"
+        rc = main(["train", "--manifest", str(corpus), "--out", str(ckpt), "--epochs", "1",
+                   "--zeta", "8", "--batch-size", "8", "--min-shift", shift,
+                   "--max-shift", shift])
+        assert rc == EXIT_USAGE
+        assert not ckpt.exists()
+        rc = main(["eval", "--ckpt", str(tmp_path / "missing.avck"),
+                   "--manifest", str(corpus), "--shift", shift,
+                   "--out-dir", str(tmp_path / "eval")])
+        assert rc == EXIT_USAGE
+        assert not (tmp_path / "eval").exists()
 
     def test_eval_shift_checked_before_any_input_is_read(self, tmp_path):
         rc = main(["eval", "--ckpt", str(tmp_path / "missing.avck"),

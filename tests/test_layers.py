@@ -435,6 +435,9 @@ POOL_WINDOWS = {"overlapping": ((1, 3, 3), (1, 2, 2)), "disjoint": ((1, 2, 1), (
 # gamma > 0, = 0 and < 0 crossed with slope > 0, = 0 and < 0, one pair per channel
 GAMMAS = np.repeat([1.3, 0.0, -0.7], 3)
 SLOPES = np.tile([0.25, 0.0, -0.4], 3)
+# every channel non-decreasing (gamma > 0, slope >= 0): the pooled-first path
+MONOTONE_GAMMAS = np.repeat([1.3, 0.4, 2.0], 3)
+MONOTONE_SLOPES = np.tile([0.25, 0.0, 1.0], 3)
 
 
 def pooled_block(dtype, window, gammas=GAMMAS, slopes=SLOPES, seed=0):
@@ -485,49 +488,89 @@ def run_block(block, x, mode, g=None):
     return out.data, xt.grad, [p.grad for p in params]
 
 
+def assert_forward_equals_layers(dtype, kind, mode, window, gammas, slopes):
+    """A LayerStack's output and running statistics hold the bits of the
+    three layers run one after another."""
+    x = block_input(kind, dtype)
+    layers = pooled_block(dtype, window, gammas, slopes)
+    stack = LayerStack("s", pooled_block(dtype, window, gammas, slopes))
+    expected = run_block(layers, x, mode)[0]
+    got = run_block(stack, x, mode)[0]
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected, equal_nan=True)
+    for mine, theirs in zip(stack.layers[0].buffers(), layers[0].buffers()):
+        assert np.array_equal(mine[1], theirs[1], equal_nan=True)
+
+
+def assert_sign_crossing_gradients_equal_layers(dtype, mode, window):
+    """With some gamma and some slope below 0, a LayerStack runs the layers
+    as written, so its gradients hold their bits."""
+    gammas, slopes = np.array([1.3, -0.7, 0.9, -1.1]), np.array([0.25, 0.3, -0.4, -0.2])
+    x = np.random.default_rng(4).standard_normal((3, 2, 9, 7, 4)).astype(dtype)
+    layers = pooled_block(dtype, window, gammas, slopes)
+    stack = LayerStack("s", pooled_block(dtype, window, gammas, slopes))
+    g = np.random.default_rng(5).standard_normal(run_block(layers, x, "infer")[0].shape)
+    out_l, gx_l, gp_l = run_block(layers, x, mode, g.astype(dtype))
+    out_s, gx_s, gp_s = run_block(stack, x, mode, g.astype(dtype))
+    for mine, theirs in zip([out_s, gx_s] + gp_s, [out_l, gx_l] + gp_l):
+        assert_same_bits(mine, theirs)
+
+
 class TestPooledBlock:
-    """A LayerStack runs bn -> prelu -> pool pooled first: it pools the centred
-    input and normalises and activates the pooled tensor. The values equal
-    those of the three layers run one after another."""
+    """A LayerStack runs bn -> prelu -> pool pooled first while every channel
+    is non-decreasing: it pools the input and normalises and activates the
+    pooled tensor. Otherwise it runs the three layers as written. The values
+    equal those of the three layers run one after another."""
 
     @pytest.mark.parametrize("window", POOL_WINDOWS)
     @pytest.mark.parametrize("mode", ["train", "frozen", "infer"])
     @pytest.mark.parametrize("kind", ["ties", "nan"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_forward_and_running_stats_equal_the_layers(self, dtype, kind, mode, window):
-        x = block_input(kind, dtype)
-        layers = pooled_block(dtype, window)
-        stack = LayerStack("s", pooled_block(dtype, window))
-        expected = run_block(layers, x, mode)[0]
-        got = run_block(stack, x, mode)[0]
-        assert got.dtype == expected.dtype
-        assert np.array_equal(got, expected, equal_nan=True)
-        for mine, theirs in zip(stack.layers[0].buffers(), layers[0].buffers()):
-            assert np.array_equal(mine[1], theirs[1], equal_nan=True)
+        assert_forward_equals_layers(dtype, kind, mode, window, GAMMAS, SLOPES)
+
+    @pytest.mark.parametrize("window", POOL_WINDOWS)
+    @pytest.mark.parametrize("mode", ["train", "frozen", "infer"])
+    @pytest.mark.parametrize("kind", ["ties", "nan"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_monotone_forward_and_running_stats_equal_the_layers(self, dtype, kind, mode, window):
+        assert_forward_equals_layers(dtype, kind, mode, window, MONOTONE_GAMMAS, MONOTONE_SLOPES)
 
     def test_single_sample_equals_the_layers(self):
         x = block_input("ties", np.float32)[0]
-        expected = run_block(pooled_block(np.float32, "overlapping"), x, "infer")[0]
-        got = run_block(LayerStack("s", pooled_block(np.float32, "overlapping")), x, "infer")[0]
+        blocks = [pooled_block(np.float32, "overlapping", MONOTONE_GAMMAS, MONOTONE_SLOPES)
+                  for _ in range(2)]
+        expected = run_block(blocks[0], x, "infer")[0]
+        got = run_block(LayerStack("s", blocks[1]), x, "infer")[0]
         assert got.shape == expected.shape == (2, 4, 3, 9)
         assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("window", POOL_WINDOWS)
     @pytest.mark.parametrize("mode", ["train", "frozen", "infer"])
     def test_float64_gradients_equal_the_layers(self, mode, window):
-        # no channel has gamma or slope 0, and the input has no ties, so no
-        # window's maximum is ambiguous
-        gammas, slopes = np.array([1.3, -0.7, 0.9, -1.1]), np.array([0.25, 0.3, -0.4, -0.2])
-        x = np.random.default_rng(4).standard_normal((3, 2, 9, 7, 4))
-        layers = pooled_block(np.float64, window, gammas, slopes)
-        stack = LayerStack("s", pooled_block(np.float64, window, gammas, slopes))
-        g = np.random.default_rng(5).standard_normal(run_block(layers, x, "infer")[0].shape)
-        out_l, gx_l, gp_l = run_block(layers, x, mode, g)
-        out_s, gx_s, gp_s = run_block(stack, x, mode, g)
-        np.testing.assert_array_equal(out_s, out_l)
-        np.testing.assert_allclose(gx_s, gx_l, rtol=1e-10, atol=1e-14)
-        for mine, theirs in zip(gp_s, gp_l):
-            np.testing.assert_allclose(mine, theirs, rtol=1e-10)
+        assert_sign_crossing_gradients_equal_layers(np.float64, mode, window)
+
+    @pytest.mark.parametrize("window", POOL_WINDOWS)
+    @pytest.mark.parametrize("mode", ["train", "frozen", "infer"])
+    def test_float32_gradients_equal_the_layers(self, mode, window):
+        assert_sign_crossing_gradients_equal_layers(np.float32, mode, window)
+
+    def test_flipping_a_gamma_between_calls_switches_the_path(self):
+        # the stack checks gamma and slope at each call: pooled first records
+        # PooledNorm and the PReLU, the layers as written record three nodes
+        x = block_input("ties", np.float64, channels=3)
+        gammas, slopes = np.array([1.3, 0.4, 0.9]), np.array([0.25, 0.0, 1.0])
+        layers = pooled_block(np.float64, "overlapping", gammas, slopes)
+        stack = LayerStack("s", pooled_block(np.float64, "overlapping", gammas, slopes))
+        for gamma, nodes in ((0.4, 2), (-0.4, 3), (0.4, 2)):
+            layers[0].gamma.data[1] = stack.layers[0].gamma.data[1] = gamma
+            xt = Tensor(x, requires_grad=True)
+            with Tape() as tape:
+                got = stack.forward(xt, mode="train").data
+            assert len(tape) == nodes
+            assert_same_bits(got, run_block(layers, x, "train")[0])
+            for mine, theirs in zip(stack.layers[0].buffers(), layers[0].buffers()):
+                assert_same_bits(mine[1], theirs[1])
 
     def test_tie_after_rounding_goes_to_the_larger_centred_value(self):
         # with slope 0 every negative input activates to -0: the layers route
@@ -546,8 +589,6 @@ class TestPooledBlock:
         model = build_mini_model()
         net = model.visual_net if stream == "visual" else model.audio_net
         conv, bn, prelu, _ = net.layers[:4]
-        bn.gamma.data[:] = [-0.8, 1.2]
-        prelu.slope.data[:] = [0.3, -0.4]
         block = LayerStack(stream, net.layers[:4])
         shape = MINI_VISUAL_SHAPE if stream == "visual" else MINI_AUDIO_SHAPE + (1,)
         x = Tensor(np.random.default_rng(6).standard_normal((3,) + shape), requires_grad=True)
@@ -556,8 +597,12 @@ class TestPooledBlock:
             out = block.forward(x, mode="train")
             return ((out + 0.3) * out).sum()
 
-        check_op_gradients(build, [x, conv.kernels, conv.bias, bn.gamma, bn.beta, prelu.slope],
-                           context=f"pooled {stream} block")
+        # pooled first, then as written
+        for gammas, slopes in (([0.8, 1.2], [0.3, 0.1]), ([-0.8, 1.2], [0.3, -0.4])):
+            bn.gamma.data[:] = gammas
+            prelu.slope.data[:] = slopes
+            check_op_gradients(build, [x, conv.kernels, conv.bias, bn.gamma, bn.beta, prelu.slope],
+                               context=f"{stream} block, gammas {gammas}, slopes {slopes}")
 
     def test_full_size_float32_gradients_near_the_layers(self):
         # the first visual block at its full size; the pooled backward sums in

@@ -47,7 +47,8 @@ class TestArchitecture:
 
     @pytest.mark.parametrize("signs", ["as built", "half the gammas and slopes negative"])
     def test_trace_ends_with_the_forward_bits(self, signs):
-        # trace runs every layer as it stands, forward pools first
+        # trace runs every layer as it stands; forward pools first where every
+        # channel is non-decreasing and runs the layers as written elsewhere
         m = CoupledModel(ModelConfig(seed=2, dtype="float32"))
         if signs != "as built":
             for name, p in m.named_parameters():
@@ -250,13 +251,15 @@ class TestEndToEnd:
             d = batch_distances(ev, ea)
             distance_nodes = len(tape) - visual_nodes - audio_nodes
             loss = contrastive_loss(d, y, m.config, weights=m.weight_tensors())
-        # one node per layer; the input reshape of embed_audio needs no gradient
-        assert visual_nodes == len(m.visual_net.layers) == 12
-        assert audio_nodes == len(m.audio_net.layers) == 9
+        # one node per layer, but a pooled-first bn -> prelu -> pool run
+        # records two (PooledNorm, PReLU), one run per stream; the input
+        # reshape of embed_audio needs no gradient
+        assert visual_nodes == len(m.visual_net.layers) - 1 == 11
+        assert audio_nodes == len(m.audio_net.layers) - 1 == 8
         # ev - ea, diff * diff, sum, + eps, sqrt
         assert distance_nodes == 5
         # data term: d * d, * 0.5, * y (3); mu - d, maximum (2); hinge * hinge,
         # * 0.5, * (1 - y) (3); +, sum, * 1/n (3). Regularizer over the 7 weight
         # tensors: w * w and sum each (14), 6 running additions, * lam and + (2).
-        assert len(tape) - 12 - 9 - 5 == 3 + 2 + 3 + 3 + 14 + 6 + 2
+        assert len(tape) - 11 - 8 - 5 == 3 + 2 + 3 + 3 + 14 + 6 + 2
         assert tape.nodes[-1][0] is loss

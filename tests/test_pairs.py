@@ -159,6 +159,22 @@ class TestGeneratePairs:
         with pytest.raises(ConfigError):
             PairConfig(min_shift_s=0.01)
 
+    @pytest.mark.parametrize("shift", [0.31, 0.33])
+    def test_shift_range_without_a_whole_hop_rejected(self, shift):
+        with pytest.raises(ConfigError, match="whole feature hops"):
+            PairConfig(min_shift_s=shift, max_shift_s=shift)
+        with pytest.raises(ConfigError, match="whole feature hops"):
+            PairConfig(fixed_shift_s=shift)
+
+    @pytest.mark.parametrize("shift, hops", [(0.3, 15), (0.4, 20), (0.5, 25)])
+    def test_fixed_shift_and_its_one_point_range_give_the_same_hops(self, shift, hops):
+        clip = make_clip()
+        for cfg in (PairConfig(fixed_shift_s=shift),
+                    PairConfig(min_shift_s=shift, max_shift_s=shift)):
+            pairs, _ = generate_pairs([clip], cfg, seed=0)
+            shifts = {round(p.shift_s / FEATURE_HOP_S) for p in pairs if p.label == 0}
+            assert shifts == {hops}
+
     def test_25_fps_clip_is_refused(self):
         # 9 frames at 25 f/s span 0.36 s against 0.3 s of audio
         with pytest.raises(DataError, match=r"c25: .*25 f/s"):
