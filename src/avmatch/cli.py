@@ -19,7 +19,7 @@ import numpy as np
 from . import io as avio
 from . import svgplot
 from .errors import AvMatchError, ConfigError, DataError
-from .model import CoupledModel, ModelConfig
+from .model import CoupledModel, ModelConfig, check_seed
 from .pairs import Clip, PairConfig, SelectionConfig, generate_pairs
 from .speech import AudioClip, SpeechConfig, build_speech_cube
 from .synth import SynthConfig, generate_corpus
@@ -36,6 +36,14 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def _seed(text: str) -> int:
+    """A ``--seed`` value; one the generators cannot take is a usage error."""
+    try:
+        return check_seed(int(text))
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 _CONFIG_CASTS = {"epochs": int, "batch_size": int, "zeta": int, "seed": int,
@@ -72,18 +80,17 @@ def _row_audio(row) -> AudioClip:
     return audio
 
 
-def _clips_from_manifest(manifest_path, allow_fps=False):
-    rows = avio.load_manifest(manifest_path, allow_fps=allow_fps)
+def _clips_from_manifest(manifest_path):
+    rows = avio.load_manifest(manifest_path)
     return [Clip(subject_id=row.subject_id, clip_id=f"{row.subject_id}/{i}",
                  audio=_row_audio(row), frames=avio.read_frame_dir(row.frames_dir),
                  fps=row.fps)
             for i, row in enumerate(rows)]
 
 
-def _packed_pairs(args, manifest_path, cfg: PairConfig, seed, dtype):
+def _packed_pairs(manifest_path, cfg: PairConfig, seed, dtype):
     """Manifest -> clips -> pairs -> (packed pairs, stats)."""
-    pairs, stats = generate_pairs(_clips_from_manifest(manifest_path, args.allow_fps),
-                                  cfg, seed=seed)
+    pairs, stats = generate_pairs(_clips_from_manifest(manifest_path), cfg, seed=seed)
     return pack_pairs(pairs, dtype=dtype), stats
 
 
@@ -97,7 +104,7 @@ def _check_folds(folds: int) -> None:
 def cmd_features_audio(args) -> int:
     cfg = SpeechConfig(cepstral=args.mfcc)
     if args.manifest:
-        rows = avio.load_manifest(args.manifest, allow_fps=args.allow_fps)
+        rows = avio.load_manifest(args.manifest)
         out_dir = Path(args.out_dir or ".")
         out_dir.mkdir(parents=True, exist_ok=True)
         failures = 0
@@ -186,13 +193,13 @@ def _grid_axes(spec: str) -> dict:
 def cmd_train(args) -> int:
     model_cfg, train_cfg = _train_configs(args)
     pair_cfg = PairConfig(min_shift_s=args.min_shift, max_shift_s=args.max_shift)
-    data, stats = _packed_pairs(args, args.manifest, pair_cfg, args.seed, model_cfg.np_dtype)
+    data, stats = _packed_pairs(args.manifest, pair_cfg, args.seed, model_cfg.np_dtype)
     if stats.skipped:
         print(f"warning: skipped {stats.skipped} impostor windows (stream too short)",
               file=sys.stderr)
     val_data = None
     if args.val_manifest:
-        val_data, _ = _packed_pairs(args, args.val_manifest, pair_cfg, args.seed + 1,
+        val_data, _ = _packed_pairs(args.val_manifest, pair_cfg, args.seed + 1,
                                     model_cfg.np_dtype)
 
     model = CoupledModel(model_cfg)
@@ -217,7 +224,7 @@ def cmd_crossval(args) -> int:
     model_cfg, train_cfg = _train_configs(args)
     grid = param_grid(_grid_axes(args.grid))
     pair_cfg = PairConfig(min_shift_s=args.min_shift, max_shift_s=args.max_shift)
-    data, _ = _packed_pairs(args, args.manifest, pair_cfg, args.seed, model_cfg.np_dtype)
+    data, _ = _packed_pairs(args.manifest, pair_cfg, args.seed, model_cfg.np_dtype)
     result = cross_validate(data, grid, model_cfg, train_cfg, k=args.folds)
     payload = {
         "best": result.best,
@@ -234,7 +241,7 @@ def cmd_eval(args) -> int:
     pair_cfg = PairConfig(min_shift_s=args.shift, max_shift_s=args.shift,
                           fixed_shift_s=args.shift)
     model = avio.load_checkpoint(args.ckpt)
-    data, _ = _packed_pairs(args, args.manifest, pair_cfg, args.seed, model.config.np_dtype)
+    data, _ = _packed_pairs(args.manifest, pair_cfg, args.seed, model.config.np_dtype)
     report = evaluate_run(model, data, folds=args.folds)
 
     out_dir = Path(args.out_dir)
@@ -271,7 +278,6 @@ def build_parser(train_defaults=None) -> _Parser:
     fa.add_argument("--out-dir", help="output directory for manifest mode")
     fa.add_argument("--mfcc", action="store_true",
                     help="apply the cosine transform (cepstral baseline features)")
-    fa.add_argument("--allow-fps", action="store_true")
     fa.set_defaults(func=cmd_features_audio)
 
     fv = fsub.add_parser("video", help="visual cube from grayscale frames")
@@ -287,7 +293,7 @@ def build_parser(train_defaults=None) -> _Parser:
     sy.add_argument("--subjects", type=int, default=synth.n_subjects)
     sy.add_argument("--clips", type=int, default=synth.clips_per_subject)
     sy.add_argument("--clip-seconds", type=float, default=synth.clip_s)
-    sy.add_argument("--seed", type=int, default=0)
+    sy.add_argument("--seed", type=_seed, default=0)
     sy.set_defaults(func=cmd_synth)
 
     model, train, pair = ModelConfig(), TrainConfig(), PairConfig()
@@ -295,7 +301,7 @@ def build_parser(train_defaults=None) -> _Parser:
     def add_train_flags(p):
         p.add_argument("--manifest", required=True)
         p.add_argument("--config", help="key=value overrides file")
-        p.add_argument("--seed", type=int, default=train.seed)
+        p.add_argument("--seed", type=_seed, default=train.seed)
         p.add_argument("--epochs", type=int, default=train.max_epochs)
         p.add_argument("--batch-size", dest="batch_size", type=int, default=train.batch_size)
         p.add_argument("--lr", type=float, default=train.learning_rate)
@@ -309,7 +315,6 @@ def build_parser(train_defaults=None) -> _Parser:
         p.add_argument("--min-shift", type=float, default=pair.min_shift_s)
         p.add_argument("--max-shift", type=float, default=pair.max_shift_s)
         p.add_argument("--dtype", choices=("float32", "float64"), default=model.dtype)
-        p.add_argument("--allow-fps", action="store_true")
         p.set_defaults(**(train_defaults or {}))
 
     tr = sub.add_parser("train", help="train a coupled model")
@@ -331,10 +336,9 @@ def build_parser(train_defaults=None) -> _Parser:
     ev.add_argument("--manifest", required=True)
     ev.add_argument("--shift", type=float, default=0.5,
                     help="fixed impostor shift in seconds")
-    ev.add_argument("--seed", type=int, default=0)
+    ev.add_argument("--seed", type=_seed, default=0)
     ev.add_argument("--folds", type=int, default=5)
     ev.add_argument("--out-dir", required=True)
-    ev.add_argument("--allow-fps", action="store_true")
     ev.set_defaults(func=cmd_eval)
     return parser
 

@@ -254,11 +254,12 @@ def _or_default(record: dict, key: str, default):
     return default if value is None or value == "" else value
 
 
-def load_manifest(path, allow_fps: bool = False) -> list:
+def load_manifest(path) -> list:
     """Read a dataset manifest (CSV with header, or JSONL).
 
     Relative paths resolve against the manifest's directory and must exist.
-    Frame rate must be finite and > 0, and 30 f/s unless ``allow_fps`` is set.
+    Frame rate must be finite and > 0; whether it fits the pair window is
+    ``generate_pairs``'s to decide.
     """
     path = Path(path)
     if not path.exists():
@@ -293,9 +294,6 @@ def load_manifest(path, allow_fps: bool = False) -> list:
             raise DataError(f"{path}: bad manifest record {i}: {exc}") from exc
         if not 0 < row.fps < math.inf:
             raise DataError(f"{path}: record {i} has fps {row.fps}; need a finite rate > 0")
-        if row.fps != FPS and not allow_fps:
-            raise ConfigError(f"{path}: record {i} has fps {row.fps}; expected {FPS} "
-                              f"(pass --allow-fps to override)")
         if not row.audio_path.exists():
             raise DataError(f"{path}: record {i}: missing audio {row.audio_path}")
         if not row.frames_dir.exists():

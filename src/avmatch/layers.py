@@ -154,22 +154,24 @@ class Conv3D(Layer):
         x_data = xb.data
         rows = n * int(np.prod(extents))
         cols = _window_view(x_data, self.kernel, self.stride).reshape(rows, -1)
-        wmat = self.kernels.data.reshape(self.out_ch, -1).T
-        out_data = cols @ wmat
+        kernels = self.kernels.data
+        out_data = cols @ kernels.reshape(self.out_ch, -1).T
         out_data += self.bias.data
         out_data = out_data.reshape((n,) + extents + (self.out_ch,))
         need_x = xb.requires_grad
 
         def bw(g):
             gmat = np.ascontiguousarray(g.reshape(-1, self.out_ch))
-            gk = (cols.T @ gmat).T.reshape(self.kernels.data.shape)
+            gk = (cols.T @ gmat).T.reshape(kernels.shape)
             gb = gmat.sum(axis=0)
             gx = None
             if need_x:
-                dcols = (gmat @ wmat.T).reshape((n,) + extents + self.kernel + (c,))
+                # one GEMM per kernel offset, added straight into gx, so no
+                # whole-batch column gradient is ever built
                 gx = np.zeros(x_data.shape, dtype=g.dtype)  # calloc; pages filled lazily
                 for offset, index in _window_slices(self.kernel, self.stride, extents):
-                    gx[index] += dcols[(slice(None),) * 4 + offset]
+                    gx[index] += (gmat @ kernels[(slice(None),) + offset]).reshape(
+                        (n,) + extents + (c,))
             return (gx, gk, gb)
 
         out = op_result(out_data, (xb, self.kernels, self.bias), bw)

@@ -31,6 +31,14 @@ AUDIO_INPUT_SHAPE = (FRAME_COUNT * 1000 // (FPS * FRAME_MS), N_FILTERS, 3)
 DISTANCE_EPS = 1e-12
 
 
+def check_seed(seed: int) -> int:
+    """``seed`` itself; ConfigError unless it lies in [0, 2**63), the seeds
+    numpy's generators take that a checkpoint's int64 field can hold."""
+    if not 0 <= seed < 2 ** 63:
+        raise ConfigError(f"seed must be in [0, 2**63), got {seed}")
+    return seed
+
+
 @dataclass
 class ModelConfig:
     zeta: int = 64          # embedding cardinality
@@ -43,6 +51,7 @@ class ModelConfig:
     def __post_init__(self):
         if self.zeta < 1:
             raise ConfigError("zeta must be >= 1")
+        check_seed(self.seed)
         if not 0 < self.mu < math.inf:
             raise ConfigError(f"mu must be finite and > 0, got {self.mu}")
         if not 0 <= self.lam < math.inf:

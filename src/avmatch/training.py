@@ -9,8 +9,6 @@ batch so runs with and without selection are directly comparable.
 
 from __future__ import annotations
 
-import ctypes
-import ctypes.util
 import math
 from dataclasses import dataclass, field, fields, replace
 
@@ -18,14 +16,12 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, DataError
 from .metrics import compute_eer, metrics_from_scores
-from .model import CoupledModel, ModelConfig, batch_distances, contrastive_loss, \
-    contrastive_loss_value
+from .model import CoupledModel, ModelConfig, batch_distances, check_seed, \
+    contrastive_loss, contrastive_loss_value
 from .pairs import SelectionConfig, select_impostors
 from .tensor import Tape, Tensor, backward
 
 
-_ARENA_TUNED = False
-ARENA_THRESHOLD = 1 << 29   # bytes; mallopt mmap and trim threshold
 SGDM_MOMENTUM = 0.9
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # Most windows a scoring batch embeds. Infer mode is per-sample, so the batch
@@ -34,29 +30,6 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # host with one BLAS thread. Whole evaluate_run calls at 8 and at 16 differed
 # by less than the run-to-run spread of either.
 SCORE_BATCH = 16
-
-
-def enable_arena_reuse() -> None:
-    """Keep large freed buffers in the malloc arena instead of unmapping them.
-
-    The batched conv passes allocate and free hundreds of MB per step; with
-    glibc's default mmap threshold every step pays mmap + page-zeroing costs.
-    On a 2-vCPU host with one BLAS thread (perfbench ``train``, ten
-    alternating pairs), full-size N=32 steps took 2.2-3.0 s with this tuning
-    against 2.3-3.6 s without (medians 2.61 and 2.84 s), slower without in 9
-    of the 10 pairs, for the same peak RSS. No effect on results; no-op on
-    non-glibc platforms.
-    """
-    global _ARENA_TUNED
-    if _ARENA_TUNED:
-        return
-    _ARENA_TUNED = True
-    try:
-        libc = ctypes.CDLL(ctypes.util.find_library("c"), use_errno=True)
-        libc.mallopt(-3, ARENA_THRESHOLD)   # M_MMAP_THRESHOLD
-        libc.mallopt(-1, ARENA_THRESHOLD)   # M_TRIM_THRESHOLD
-    except (OSError, AttributeError, TypeError):
-        pass
 
 
 @dataclass
@@ -77,6 +50,7 @@ class TrainConfig:
             raise ConfigError(f"learning rate must be finite and > 0, got {self.learning_rate}")
         if self.optimizer not in ("sgdm", "adam"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
+        check_seed(self.seed)
 
 
 @dataclass
@@ -270,7 +244,6 @@ def train_epoch(model: CoupledModel, data: PackedPairs, cfg: TrainConfig,
 def fit(model: CoupledModel, train_data: PackedPairs, cfg: TrainConfig,
         val_data: PackedPairs | None = None) -> FitResult:
     """Run up to max_epochs, stopping when validation EER rises twice in a row."""
-    enable_arena_reuse()
     optimizer = make_optimizer(model, cfg)
     history = []
     rising = 0

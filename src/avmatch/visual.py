@@ -63,6 +63,8 @@ def build_visual_cube(frames, start: int = 0, clip_id: str = "") -> VisualCube:
         frame = frames[start + t]
         if frame.ndim != 2:
             raise DataError(f"frame {start + t} is not grayscale (shape {frame.shape})")
+        if frame.size == 0:
+            raise DataError(f"frame {start + t} is empty (shape {frame.shape})")
         stack[t] = bilinear_resize(frame, TARGET_H, TARGET_W)
     cube = standardize(stack[..., None])
     return VisualCube(values=cube, clip_id=clip_id, start_frame=start)

@@ -255,6 +255,16 @@ class TestFeaturesCommand:
         assert "packed frame 4 holds non-finite values" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("shape", [(9, 0, 5), (9, 5, 0)])
+    def test_empty_packed_frames_are_data_error(self, tmp_path, capsys, shape):
+        packed = tmp_path / "frames.avcb"
+        avio.write_cube(packed, np.zeros(shape, dtype=np.float32))
+        out = tmp_path / "v.avcb"
+        rc = main(["features", "video", "--cube", str(packed), "--out", str(out)])
+        assert rc == EXIT_DATA
+        assert "frame 0 is empty" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_48khz_wav_is_data_error(self, tmp_path):
         wav = tmp_path / "hi.wav"
         avio.write_wav(wav, np.zeros(48000 // 2), 48000)
@@ -341,6 +351,54 @@ class TestUsageErrors:
         rc = main(["crossval", "--manifest", str(corpus), "--grid", "mu=1.0",
                    "--folds", "0", "--zeta", "8", "--out", str(tmp_path / "cv.json")])
         assert rc == EXIT_USAGE
+
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 63)])
+    @pytest.mark.parametrize("command", ["synth", "train", "crossval", "eval"])
+    def test_seed_out_of_range_is_usage_error_before_any_file(self, tmp_path, capsys,
+                                                              command, seed):
+        # nothing named below exists, so a command that read or wrote first would exit 2
+        # or leave its output behind
+        out = tmp_path / "out"
+        argv = {"synth": ["synth", "--out", str(out)],
+                "train": ["train", "--manifest", str(tmp_path / "m.csv"), "--out", str(out)],
+                "crossval": ["crossval", "--manifest", str(tmp_path / "m.csv"),
+                             "--grid", "mu=1.0", "--out", str(out)],
+                "eval": ["eval", "--ckpt", str(tmp_path / "c.avck"),
+                         "--manifest", str(tmp_path / "m.csv"), "--out-dir", str(out)]}
+        with pytest.raises(SystemExit) as exc:
+            main(argv[command] + ["--seed", seed])
+        assert exc.value.code == EXIT_USAGE
+        assert f"seed must be in [0, 2**63), got {seed}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "crossval"])
+    def test_config_file_seed_out_of_range_is_usage_error(self, tmp_path, command):
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text("seed=-1\n")
+        out = tmp_path / "out"
+        argv = [command, "--manifest", str(tmp_path / "m.csv"), "--config", str(cfg),
+                "--out", str(out)]
+        if command == "crossval":
+            argv += ["--grid", "mu=1.0"]
+        assert main(argv) == EXIT_USAGE
+        assert not out.exists()
+
+    def test_grid_seed_out_of_range_is_usage_error(self, tmp_path):
+        rc = main(["crossval", "--manifest", str(tmp_path / "m.csv"), "--grid",
+                   "seed=0,-1", "--out", str(tmp_path / "cv.json")])
+        assert rc == EXIT_USAGE
+
+    def test_eval_on_checkpoint_with_negative_seed_is_data_error(self, corpus, tmp_path,
+                                                                 capsys):
+        ckpt = tmp_path / "neg.avck"
+        avio.save_checkpoint(ckpt, CoupledModel(ModelConfig(zeta=8, seed=0)))
+        raw = bytearray(ckpt.read_bytes())
+        raw[34:42] = struct.pack("<q", -1)   # seed, after magic, version, zeta, mu, lam, rho
+        ckpt.write_bytes(bytes(raw))
+        rc = main(["eval", "--ckpt", str(ckpt), "--manifest", str(corpus),
+                   "--out-dir", str(tmp_path / "eval")])
+        assert rc == EXIT_DATA
+        assert "bad stored configuration: seed must be in" in capsys.readouterr().err
 
     def test_eval_on_nan_checkpoint_is_data_error(self, corpus, tmp_path):
         model = CoupledModel(ModelConfig(zeta=8, seed=0))
@@ -574,7 +632,7 @@ class TestStreamRates:
             self, corpus, tmp_path, capsys, fps):
         manifest, _ = _edited_manifest(corpus, tmp_path, 2, fps=fps)
         ckpt = tmp_path / "c.avck"
-        rc = main(["train", "--manifest", str(manifest), "--out", str(ckpt), "--allow-fps",
+        rc = main(["train", "--manifest", str(manifest), "--out", str(ckpt),
                    "--epochs", "1", "--zeta", "8", "--batch-size", "8"])
         assert rc == EXIT_DATA
         assert f"record 2 has fps {float(fps)}" in capsys.readouterr().err
@@ -599,7 +657,32 @@ class TestStreamRates:
         manifest, _ = _edited_manifest(corpus, tmp_path, 0, fps="25")
         ckpt = tmp_path / "m.avck"
         avio.save_checkpoint(ckpt, CoupledModel(ModelConfig(zeta=8, seed=0)))
-        rc = main(["eval", "--ckpt", str(ckpt), "--manifest", str(manifest), "--allow-fps",
+        rc = main(["eval", "--ckpt", str(ckpt), "--manifest", str(manifest),
                    "--out-dir", str(tmp_path / "eval")])
         assert rc == EXIT_DATA
         assert "25.0 f/s" in capsys.readouterr().err
+
+    def test_2997_fps_row_needs_no_flag(self, corpus, tmp_path):
+        manifest, _ = _edited_manifest(corpus, tmp_path, 0, fps="29.97")
+        ckpt = tmp_path / "m.avck"
+        avio.save_checkpoint(ckpt, CoupledModel(ModelConfig(zeta=8, seed=0)))
+        rc = main(["eval", "--ckpt", str(ckpt), "--manifest", str(manifest),
+                   "--out-dir", str(tmp_path / "eval")])
+        assert rc == EXIT_OK
+        assert (tmp_path / "eval" / "metrics.json").exists()
+
+    def test_25_fps_row_is_data_error_from_train(self, corpus, tmp_path, capsys):
+        manifest, _ = _edited_manifest(corpus, tmp_path, 0, fps="25")
+        ckpt = tmp_path / "m.avck"
+        rc = main(["train", "--manifest", str(manifest), "--out", str(ckpt),
+                   "--epochs", "1", "--zeta", "8", "--batch-size", "8"])
+        assert rc == EXIT_DATA
+        assert "25.0 f/s span 0.360 s" in capsys.readouterr().err
+        assert not ckpt.exists()
+
+    def test_features_manifest_ignores_the_frame_rate(self, corpus, tmp_path):
+        manifest, rows = _edited_manifest(corpus, tmp_path, 0, fps="25")
+        out_dir = tmp_path / "cubes"
+        rc = main(["features", "audio", "--manifest", str(manifest), "--out-dir", str(out_dir)])
+        assert rc == EXIT_OK
+        assert len(list(out_dir.glob("*.avcb"))) == len(rows)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from avmatch import io as avio
-from avmatch.errors import ConfigError, DataError
+from avmatch.errors import DataError
 from avmatch.model import CoupledModel, ModelConfig
 from checkpoint_bytes import write_nan_into_blob
 
@@ -242,6 +242,20 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="bad stored configuration: mu must be finite"):
             avio.load_checkpoint(path)
 
+    def test_negative_stored_seed_is_data_error(self, tmp_path, model):
+        path = tmp_path / "seed.avck"
+        avio.save_checkpoint(path, model)
+        raw = bytearray(path.read_bytes())
+        raw[34:42] = struct.pack("<q", -1)   # seed, after magic, version, zeta, mu, lam, rho
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DataError, match="bad stored configuration: seed must be in"):
+            avio.load_checkpoint(path)
+
+    def test_largest_seed_round_trips(self, tmp_path):
+        path = tmp_path / "big.avck"
+        avio.save_checkpoint(path, CoupledModel(ModelConfig(zeta=8, seed=2 ** 63 - 1)))
+        assert avio.load_checkpoint(path).config.seed == 2 ** 63 - 1
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_state_is_not_saved(self, tmp_path, value):
         bad = CoupledModel(ModelConfig(zeta=16, seed=4, dtype="float32"))
@@ -289,16 +303,16 @@ class TestManifest:
         rows = avio.load_manifest(manifest)
         assert rows[0].sample_rate == 16000
 
-    def test_wrong_fps_rejected_without_override(self, tmp_path):
+    @pytest.mark.parametrize("fps", ["25", "29.97"])
+    def test_other_fps_is_read_for_the_pairing_to_judge(self, tmp_path, fps):
+        # generate_pairs decides whether 9 frames at this rate span the window
         clip = self.write_clip(tmp_path)
         manifest = tmp_path / "m.csv"
         manifest.write_text(
             "subject_id,audio_path,frames_dir,fps,sample_rate\n"
             f"s0,{clip.relative_to(tmp_path)}/audio.wav,"
-            f"{clip.relative_to(tmp_path)}/frames,25,16000\n")
-        with pytest.raises(ConfigError):
-            avio.load_manifest(manifest)
-        assert avio.load_manifest(manifest, allow_fps=True)[0].fps == 25.0
+            f"{clip.relative_to(tmp_path)}/frames,{fps},16000\n")
+        assert avio.load_manifest(manifest)[0].fps == float(fps)
 
     @pytest.mark.parametrize("fps", ["0", "-30", "nan", "inf"])
     def test_fps_not_finite_and_positive_is_data_error(self, tmp_path, fps):
@@ -311,7 +325,7 @@ class TestManifest:
             f"s0,{clip.relative_to(tmp_path)}/audio.wav,"
             f"{clip.relative_to(tmp_path)}/frames,{fps},16000\n")
         with pytest.raises(DataError, match="record 1 has fps"):
-            avio.load_manifest(manifest, allow_fps=True)
+            avio.load_manifest(manifest)
 
     def test_jsonl_zero_fps_is_not_read_as_missing(self, tmp_path):
         clip = self.write_clip(tmp_path)
@@ -321,7 +335,7 @@ class TestManifest:
             '"frames_dir": "%s/frames", "fps": 0}\n'
             % (clip.relative_to(tmp_path), clip.relative_to(tmp_path)))
         with pytest.raises(DataError, match="record 0 has fps 0.0"):
-            avio.load_manifest(manifest, allow_fps=True)
+            avio.load_manifest(manifest)
 
     def test_missing_paths_rejected(self, tmp_path):
         manifest = tmp_path / "m.csv"

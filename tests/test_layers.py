@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,37 @@ class TestConv3D:
 
         check_op_gradients(build, [x, layer.kernels, layer.bias],
                            context=f"conv3d seed {seed}")
+
+    def test_strided_batch_gradients(self):
+        rng = np.random.default_rng(7)
+        layer = Conv3D(2, 3, (2, 3, 2), stride=(1, 2, 2), seed=7)
+        x = Tensor(rng.standard_normal((2, 3, 7, 6, 2)), requires_grad=True)
+
+        def build():
+            out = layer.forward(x)
+            return (out * out).sum()
+
+        check_op_gradients(build, [x, layer.kernels, layer.bias], context="strided conv3d")
+
+    def test_input_gradient_needs_no_whole_batch_column_buffer(self):
+        # the whole batch's column gradient, [rows, kT*kH*kW*in_ch], is the
+        # buffer the backward must not build
+        rng = np.random.default_rng(3)
+        layer = Conv3D(8, 16, (3, 3, 3), seed=3, dtype=np.float32)
+        x = Tensor(rng.standard_normal((4, 7, 20, 24, 8)).astype(np.float32),
+                   requires_grad=True)
+        with Tape() as tape:
+            out = layer.forward(x, mode="train")
+            loss = out.sum()
+            tracemalloc.start()
+            try:
+                backward(loss, tape)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        column_bytes = out.data.size // 16 * 27 * 8 * 4
+        assert x.grad.shape == x.data.shape
+        assert peak < column_bytes
 
 
 class TestMaxPool3D:

@@ -108,7 +108,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("kwargs", [
         {"zeta": 0}, {"mu": 0.0}, {"mu": -1.0}, {"lam": -0.1},
-        {"rho": 1.0}, {"rho": -0.2}, {"dtype": "float16"},
+        {"rho": 1.0}, {"rho": -0.2}, {"dtype": "float16"}, {"seed": -1}, {"seed": 2 ** 63},
     ])
     def test_invalid_config(self, kwargs):
         with pytest.raises(ConfigError):

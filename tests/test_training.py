@@ -402,3 +402,8 @@ class TestTrainConfig:
     def test_bad_optimizer(self):
         with pytest.raises(ConfigError):
             TrainConfig(optimizer="lbfgs")
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 63])
+    def test_seed_out_of_range(self, seed):
+        with pytest.raises(ConfigError, match="seed must be in"):
+            TrainConfig(seed=seed)

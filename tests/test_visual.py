@@ -73,6 +73,13 @@ class TestVisualCube:
         with pytest.raises(DataError):
             build_visual_cube(frames, start=0)
 
+    @pytest.mark.parametrize("shape", [(0, 5), (5, 0)])
+    def test_empty_frame_rejected_naming_it(self, shape):
+        frames = gradient_frames(9)
+        frames[4] = np.zeros(shape)
+        with pytest.raises(DataError, match=r"frame 4 is empty"):
+            build_visual_cube(frames, start=0)
+
     def test_standardized(self):
         rng = np.random.default_rng(5)
         frames = [rng.uniform(0, 255, size=(60, 100)) for _ in range(9)]
