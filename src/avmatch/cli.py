@@ -1,8 +1,9 @@
 """Command-line surface: feature extraction, training, evaluation, fixtures.
 
 Exit codes: 0 ok, 2 data error (any package error other than a configuration
-error, or an OS error), 64 usage/config error. All commands honor --seed;
-outputs depend only on inputs, configuration, and seed.
+error, an OS error, or a run that cannot allocate its arrays), 64
+usage/config error. All commands honor --seed; outputs depend only on
+inputs, configuration, and seed.
 """
 
 from __future__ import annotations
@@ -359,6 +360,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (AvMatchError, OSError) as exc:
         print(f"avmatch: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError as exc:
+        print(f"avmatch: out of memory: {exc}", file=sys.stderr)
         return EXIT_DATA
 
 

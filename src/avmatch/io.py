@@ -29,6 +29,8 @@ FORMAT_VERSION = 1
 # checkpoint header after magic and version: zeta, mu, lam, rho, seed,
 # architecture digest, blob count
 CKPT_HEADER = "<Idddq32sI"
+# the weights whose last extent is zeta, checked before a model is built
+EMBEDDING_BLOBS = ("visual.fc6.weights", "audio.fc5.weights")
 
 
 # ---------------------------------------------------------------- audio / video
@@ -194,10 +196,13 @@ def save_checkpoint(path, model: CoupledModel) -> None:
 def load_checkpoint(path, dtype: str = "float32") -> CoupledModel:
     """Rebuild the model and load every parameter and running statistic.
 
-    Refuses to load when the stored architecture digest does not match the
-    model built from the stored configuration, when the file is
-    truncated or has bytes after the last blob, or when a blob holds a NaN or
-    infinite value. Blobs are copied into the built model's arrays in place.
+    Every blob is read and checked before the model is built, so what a
+    corrupt header makes the loader allocate is bounded by the file's size.
+    Refuses to load when the file is truncated or has bytes after the last
+    blob, when a blob holds a NaN or infinite value or is repeated, when the
+    stored zeta disagrees with the stored embedding weights, or when the
+    stored architecture digest does not match the model built from the
+    stored configuration. Blobs are copied into the built model's arrays.
     """
     raw = Path(path).read_bytes()
     pos = _check_header(path, raw, CKPT_MAGIC, "checkpoint")
@@ -207,12 +212,8 @@ def load_checkpoint(path, dtype: str = "float32") -> CoupledModel:
         cfg = ModelConfig(zeta=zeta, mu=mu, lam=lam, rho=rho, seed=seed, dtype=dtype)
     except ConfigError as exc:
         raise DataError(f"{path}: bad stored configuration: {exc}") from None
-    model = CoupledModel(cfg)
-    if model.spec_digest() != digest:
-        raise DataError(f"{path}: architecture digest mismatch; refusing to load")
 
-    targets = {name: p.data for name, p in model.named_parameters()}
-    targets.update(model.named_buffers())
+    blobs = {}
     for _ in range(n_blobs):
         (name_len,), pos = _take(path, raw, pos, "<H")
         (name,), pos = _take(path, raw, pos, f"<{name_len}s")
@@ -220,15 +221,31 @@ def load_checkpoint(path, dtype: str = "float32") -> CoupledModel:
         arr, pos = _take_array(path, raw, pos)
         if not np.isfinite(arr).all():
             raise DataError(f"{path}: blob {name} holds non-finite values")
+        if name in blobs:
+            raise DataError(f"{path}: repeated blob {name!r}")
+        blobs[name] = arr
+    if pos != len(raw):
+        raise DataError(f"{path}: {len(raw) - pos} unexpected bytes after the last blob")
+    for name in EMBEDDING_BLOBS:
+        if name not in blobs:
+            raise DataError(f"{path}: missing blobs {[name]}")
+        if blobs[name].shape[-1:] != (zeta,):
+            raise DataError(f"{path}: stored zeta {zeta} disagrees with blob {name} "
+                            f"of shape {blobs[name].shape}")
+
+    model = CoupledModel(cfg)
+    if model.spec_digest() != digest:
+        raise DataError(f"{path}: architecture digest mismatch; refusing to load")
+    targets = {name: p.data for name, p in model.named_parameters()}
+    targets.update(model.named_buffers())
+    for name, arr in blobs.items():
         target = targets.pop(name, None)
         if target is None:
-            raise DataError(f"{path}: unknown or repeated blob {name!r}")
+            raise DataError(f"{path}: unknown blob {name!r}")
         if target.shape != arr.shape:
             raise DataError(f"{path}: blob {name} has shape {arr.shape}, "
                             f"expected {target.shape}")
         target[...] = arr
-    if pos != len(raw):
-        raise DataError(f"{path}: {len(raw) - pos} unexpected bytes after the last blob")
     if targets:
         raise DataError(f"{path}: missing blobs {sorted(targets)}")
     return model

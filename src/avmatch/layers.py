@@ -11,15 +11,16 @@ the way out. Forward behaviour depends on ``mode``:
 
 A LayerStack runs a BatchNorm -> PReLU -> MaxPool3D run pooled first, in
 every mode, while every channel has gamma > 0 and a slope >= 0: the batch
-statistics come from the whole input, then the window maxima of the input
-are pooled and only the pooled tensor is normalised and activated. Per
-channel, f = PReLU(gamma * (x - mean) / std + beta) is then non-decreasing,
-so a window's maximum of f is f of the window's maximum of x; rounding is
-monotone too, so this holds bit for bit. A run with any other channel goes
-through its three layers as written. Tie rule: where two elements of a
-window tie only after f (a zero slope sends every negative input to 0), the
-gradient goes to the larger input, and among equal inputs to the first in
-window order. LayerStack.trace runs the layers one by one, as written.
+norm, given the pool, takes its statistics from the whole input but
+normalises only the input's window maxima, and the PReLU activates that
+pooled tensor. Per channel, f = PReLU(gamma * (x - mean) / std + beta) is
+then non-decreasing, so a window's maximum of f is f of the window's maximum
+of x; rounding is monotone too, so this holds bit for bit. A run with any
+other channel goes through its three layers as written. Tie rule: where two
+elements of a window tie only after f (a zero slope sends every negative
+input to 0), the gradient goes to the larger input, and among equal inputs
+to the first in window order. LayerStack.trace runs the layers one by one,
+as written.
 """
 
 from __future__ import annotations
@@ -279,7 +280,12 @@ class Dense(Layer):
 
 
 class BatchNorm(Layer):
-    """Per-channel batch normalization with running statistics for inference."""
+    """Per-channel batch normalization with running statistics for inference.
+
+    With ``pool``, the MaxPool3D that ends a BatchNorm -> PReLU -> MaxPool3D
+    run, ``forward`` takes the statistics from all of x but normalises only
+    the window maxima of x (see the module notes).
+    """
 
     def __init__(self, channels, dtype=np.float64, name="bn"):
         self.name = name
@@ -307,41 +313,64 @@ class BatchNorm(Layer):
             self.running_var += BN_MOMENTUM * (var - self.running_var)
         return mean, 1.0 / np.sqrt(var + BN_EPSILON)
 
-    def forward(self, x: Tensor, mode="infer", rng=None) -> Tensor:
-        x_data = x.data
-        mean, inv_std = self._moments(x_data, mode)
-        x_hat = x_data - mean
+    def forward(self, x: Tensor, mode="infer", rng=None, pool=None) -> Tensor:
+        mean, inv_std = self._moments(x.data, mode)
+        x, squeeze = (x, False) if pool is None else _as_batch(x)
+        x_data = sel = x.data
+        if pool is not None:
+            extents = _valid_extents(pool, x_data.shape[1:4])
+            slices = [index for _, index in _window_slices(pool.kernel, pool.stride, extents)]
+            # x - mean rounds monotonically in x, so centring the window
+            # maxima of x gives the maxima of the centred input
+            sel = _pool(x_data, slices)
+        x_hat = sel - mean
         x_hat *= inv_std
-        gamma_data = self.gamma.data
-        out_data = x_hat * gamma_data
+        gamma = self.gamma.data
+        out_data = x_hat * gamma
         out_data += self.beta.data
         use_batch_stats = mode in ("train", "frozen")
         m = x_data.size // self.channels
+        axes = tuple(range(x_hat.ndim - 1))
         need_x = x.requires_grad
-        ch_axes = tuple(range(x_data.ndim - 1))
 
         def bw(g):
-            # g has the output's dtype, the widest here, so these in-place
-            # steps round exactly as their out-of-place forms would
-            tmp = g * x_hat
-            gg = tmp.sum(axis=ch_axes)
-            gb = g.sum(axis=ch_axes)
-            gx = None
-            if need_x:
-                gx = g * gamma_data
+            gg = (g * x_hat).sum(axis=axes)
+            gb = g.sum(axis=axes)
+            if not need_x:
+                return (None, gg, gb)
+            gs = g * gamma
+            if use_batch_stats:
+                # mean and var both depend on x:
+                # inv_std * (g * gamma - (t1 + x_hat * t2) / m)
+                t1 = gs.sum(axis=axes)
+                t2 = (gs * x_hat).sum(axis=axes)
+            if pool is None:
+                gx = inv_std * (gs - (t1 + x_hat * t2) / m) if use_batch_stats else gs * inv_std
+                return (gx, gg, gb)
+            if use_batch_stats:
+                # -inv_std * (t1 + x_hat * t2) / m at every input, as
+                # a * (x - mean) + b; t1 and t2 sum over the pooled
+                # positions, the only ones that carry a gradient
+                a, b = inv_std * inv_std * t2 / -m, inv_std * t1 / -m
+            gs *= inv_std
+            gx = np.empty_like(x_data)
+            # one sample at a time, so that the sample stays in cache while
+            # its window maxima are found and its gradient is written
+            for n in range(len(gx)):
+                one = slice(n, n + 1)
+                g_one = gx[one]
                 if use_batch_stats:
-                    # standard batch-stat backward (mean and var both depend on x):
-                    # inv_std * (g * gamma - (t1 + x_hat * t2) / m)
-                    t1 = gx.sum(axis=ch_axes)
-                    t2 = np.multiply(gx, x_hat, out=tmp).sum(axis=ch_axes)
-                    np.multiply(x_hat, t2, out=tmp)
-                    tmp += t1
-                    tmp /= m
-                    gx -= tmp
-                gx *= inv_std
+                    np.subtract(x_data[one], mean, out=g_one)
+                    g_one *= a
+                    g_one += b
+                else:
+                    g_one.fill(0)
+                _scatter(_first_hits(x_data[one], sel[one], slices), gs[one], g_one,
+                         pool.kernel, pool.stride)
             return (gx, gg, gb)
 
-        return op_result(out_data, (x, self.gamma, self.beta), bw)
+        out = op_result(out_data, (x, self.gamma, self.beta), bw)
+        return out.reshape(out.data.shape[1:]) if squeeze else out
 
     def parameters(self):
         return [(f"{self.name}.gamma", self.gamma), (f"{self.name}.beta", self.beta)]
@@ -374,70 +403,6 @@ class Dropout(Layer):
         return op_result(x.data * mask, (x,), bw)
 
 
-class PooledNorm:
-    """The batch norm of a BatchNorm -> PReLU -> MaxPool3D run whose every
-    channel is non-decreasing, applied to the window maxima of its input only
-    (see the module notes); the PReLU then runs on its output."""
-
-    def __init__(self, bn: BatchNorm, pool: MaxPool3D):
-        self.name = bn.name
-        self.bn, self.pool = bn, pool
-
-    def forward(self, x: Tensor, mode="infer", rng=None) -> Tensor:
-        bn, pool, x_data = self.bn, self.pool, x.data
-        if x_data.ndim not in (4, 5):
-            raise ShapeError(f"expected rank-4 [T,H,W,C] or rank-5 [N,T,H,W,C] input, got {x_data.shape}")
-        mean, inv_std = bn._moments(x_data, mode)
-        xb = x_data.reshape((-1,) + x_data.shape[-4:])
-        extents = _valid_extents(pool, xb.shape[1:4])
-        slices = [index for _, index in _window_slices(pool.kernel, pool.stride, extents)]
-        gamma = bn.gamma.data
-        # x - mean rounds monotonically in x, so centring the pooled maxima
-        # of x gives the maxima of the centred input
-        x_max = _pool(xb, slices)
-        x_hat = x_max - mean
-        x_hat *= inv_std
-        out_data = x_hat * gamma
-        out_data += bn.beta.data
-        out_shape = x_max.shape if x_data.ndim == 5 else x_max.shape[1:]
-        use_batch_stats = mode in ("train", "frozen")
-        m = x_data.size // bn.channels
-        need_x = x.requires_grad
-
-        def bw(g):
-            g = g.reshape(x_hat.shape)
-            gb = g.reshape(-1, bn.channels).sum(axis=0)
-            gg = (g * x_hat).reshape(-1, bn.channels).sum(axis=0)
-            if not need_x:
-                return (None, gg, gb)
-            gs = g * gamma
-            if use_batch_stats:
-                # BatchNorm's -inv_std * (t1 + x_hat * t2) / m at every input,
-                # as a * (x - mean) + b; t1 and t2 sum over the pooled
-                # positions, the only ones that carry a gradient
-                t1 = gs.reshape(-1, bn.channels).sum(axis=0)
-                t2 = (gs * x_hat).reshape(-1, bn.channels).sum(axis=0)
-                a, b = inv_std * inv_std * t2 / -m, inv_std * t1 / -m
-            gs *= inv_std
-            gx = np.empty_like(xb)
-            # one sample at a time, so that the sample stays in cache while
-            # its window maxima are found and its gradient is written
-            for n in range(len(gx)):
-                one = slice(n, n + 1)
-                g_one = gx[one]
-                if use_batch_stats:
-                    np.subtract(xb[one], mean, out=g_one)
-                    g_one *= a
-                    g_one += b
-                else:
-                    g_one.fill(0)
-                _scatter(_first_hits(xb[one], x_max[one], slices), gs[one], g_one,
-                         pool.kernel, pool.stride)
-            return (gx.reshape(x_data.shape), gg, gb)
-
-        return op_result(out_data.reshape(out_shape), (x, bn.gamma, bn.beta), bw)
-
-
 def _runs(layers):
     """The layers in order, each BatchNorm -> PReLU -> MaxPool3D run as one
     group of three and every other layer as a group of one."""
@@ -453,10 +418,11 @@ def _runs(layers):
 class LayerStack:
     """Named sequence of layers applied in order.
 
-    ``forward`` runs a BatchNorm -> PReLU -> MaxPool3D run as PooledNorm
-    and the PReLU while every channel has gamma > 0 and a slope >= 0, checked
-    at each call since training moves both; any other run, and ``trace``,
-    go through the layers as written. Both give the same values.
+    ``forward`` runs a BatchNorm -> PReLU -> MaxPool3D run as the batch norm
+    given the pool, then the PReLU, while every channel has gamma > 0 and a
+    slope >= 0, checked at each call since training moves both; any other
+    run, and ``trace``, go through the layers as written. Both give the same
+    values.
     """
 
     def __init__(self, name, layers):
@@ -471,7 +437,8 @@ class LayerStack:
             if len(run) == 3:
                 bn, prelu, pool = run
                 if (bn.gamma.data > 0).all() and (prelu.slope.data >= 0).all():
-                    run = [PooledNorm(bn, pool), prelu]
+                    x = prelu.forward(bn.forward(x, mode=mode, pool=pool), mode=mode, rng=rng)
+                    continue
             for layer in run:
                 x = layer.forward(x, mode=mode, rng=rng)
         return x

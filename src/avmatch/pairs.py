@@ -76,6 +76,10 @@ class PairConfig:
         if self.fixed_shift_s is not None and not (
                 self.min_shift_s <= self.fixed_shift_s <= self.max_shift_s):
             raise ConfigError("fixed shift outside [min, max] shift range")
+        # the generator draws hop counts up to the largest plus one as int64
+        if not self.max_shift_s / FEATURE_HOP_S < np.iinfo(np.int64).max:
+            raise ConfigError(f"shifts up to {self.max_shift_s} s count more feature hops "
+                              f"({FEATURE_HOP_S} s) than an int64 holds")
         lo, hi = _shift_choices(self)
         if lo > hi:
             raise ConfigError(f"impostor shifts are whole feature hops ({FEATURE_HOP_S} s) "

@@ -39,6 +39,9 @@ class SynthConfig:
         if not 0.9 <= self.clip_s < math.inf:
             raise ConfigError(f"clips must last a finite 0.9 s or more to host shifted "
                               f"windows, got {self.clip_s}")
+        if not self.clip_s * SAMPLE_RATE < math.inf:
+            raise ConfigError(f"a {self.clip_s} s clip has no finite sample count "
+                              f"at {SAMPLE_RATE} Hz")
 
 
 def envelope(n_samples: int, sample_rate: int, sigma_s: float, rng) -> np.ndarray:

@@ -34,6 +34,14 @@ def checkout_env():
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
 
+def heuristic_overcommit() -> bool:
+    """Whether Linux refuses an allocation past RAM and swap when it is asked for."""
+    try:
+        return Path("/proc/sys/vm/overcommit_memory").read_text().strip() == "0"
+    except OSError:
+        return False
+
+
 def test_import_skips_scipy_modules_of_single_commands():
     # scipy.fft serves only --mfcc and scipy.ndimage only the corpus generator
     code = ("import sys, avmatch.cli; "
@@ -400,6 +408,25 @@ class TestUsageErrors:
         assert rc == EXIT_DATA
         assert "bad stored configuration: seed must be in" in capsys.readouterr().err
 
+    # the header's zeta sizes fc6 before anything is checked unless every
+    # blob is read first; 2**32 - 1 then asks for 8 TiB, which only a
+    # heuristic overcommit policy refuses at once rather than committing
+    @pytest.mark.skipif(not heuristic_overcommit(), reason="needs the heuristic overcommit policy")
+    def test_eval_on_checkpoint_with_huge_stored_zeta_is_data_error(self, corpus, tmp_path,
+                                                                    capsys):
+        ckpt = tmp_path / "zeta.avck"
+        avio.save_checkpoint(ckpt, CoupledModel(ModelConfig(zeta=8, seed=0)))
+        raw = bytearray(ckpt.read_bytes())
+        raw[6:10] = struct.pack("<I", 2 ** 32 - 1)   # zeta, after magic and version
+        ckpt.write_bytes(bytes(raw))
+        rc = main(["eval", "--ckpt", str(ckpt), "--manifest", str(corpus),
+                   "--out-dir", str(tmp_path / "eval")])
+        assert rc == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"avmatch: {ckpt}: stored zeta 4294967295 disagrees with blob "
+            f"visual.fc6.weights of shape (256, 8)\n")
+        assert not (tmp_path / "eval").exists()
+
     def test_eval_on_nan_checkpoint_is_data_error(self, corpus, tmp_path):
         model = CoupledModel(ModelConfig(zeta=8, seed=0))
         ckpt = tmp_path / "nan.avck"
@@ -560,6 +587,36 @@ class TestMalformedValues:
         rc = main(["synth", "--out", str(tmp_path / "c"), "--clip-seconds", seconds])
         assert rc == EXIT_USAGE
         assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("shift", ["1e308", "1e200"])
+    @pytest.mark.parametrize("command", ["train", "crossval", "eval"])
+    def test_shift_past_int64_hops_is_usage_error_before_any_file(self, tmp_path, capsys,
+                                                                  command, shift):
+        # nothing named below exists, so a command that read first would exit 2
+        out = tmp_path / "out"
+        manifest = str(tmp_path / "m.csv")
+        argv = {"train": ["train", "--manifest", manifest, "--out", str(out),
+                          "--max-shift", shift],
+                "crossval": ["crossval", "--manifest", manifest, "--grid", "mu=1.0",
+                             "--out", str(out), "--max-shift", shift],
+                "eval": ["eval", "--ckpt", str(tmp_path / "c.avck"), "--manifest", manifest,
+                         "--out-dir", str(out), "--shift", shift]}
+        assert main(argv[command]) == EXIT_USAGE
+        assert "than an int64 holds" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_clip_seconds_without_a_finite_sample_count_is_usage_error(self, tmp_path, capsys):
+        rc = main(["synth", "--out", str(tmp_path / "c"), "--clip-seconds", "1e308"])
+        assert rc == EXIT_USAGE
+        assert "no finite sample count" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+
+    def test_run_that_cannot_allocate_is_one_line_data_error(self, tmp_path, capsys):
+        # 1.6e16 samples of int64 is 114 PiB, past any address space
+        rc = main(["synth", "--out", str(tmp_path / "c"), "--clip-seconds", "1e12"])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("avmatch: out of memory: ") and err.count("\n") == 1
 
     def test_bare_train_flags_are_the_config_defaults(self):
         args = build_parser().parse_args(["train", "--manifest", "m.csv", "--out", "c.avck"])

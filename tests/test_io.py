@@ -251,6 +251,17 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="bad stored configuration: seed must be in"):
             avio.load_checkpoint(path)
 
+    @pytest.mark.parametrize("zeta", [17, 15])
+    def test_stored_zeta_other_than_the_embedding_weights_refused(self, tmp_path, model, zeta):
+        path = tmp_path / "zeta.avck"
+        avio.save_checkpoint(path, model)
+        raw = bytearray(path.read_bytes())
+        raw[6:10] = struct.pack("<I", zeta)   # zeta, after magic and version
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DataError, match=f"stored zeta {zeta} disagrees with blob "
+                                            r"visual.fc6.weights of shape \(256, 16\)"):
+            avio.load_checkpoint(path)
+
     def test_largest_seed_round_trips(self, tmp_path):
         path = tmp_path / "big.avck"
         avio.save_checkpoint(path, CoupledModel(ModelConfig(zeta=8, seed=2 ** 63 - 1)))

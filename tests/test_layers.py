@@ -426,6 +426,35 @@ class TestBatchNorm:
         assert_same_bits(layer.beta.grad, g.sum(axis=axes))
         assert_same_bits(layer.running_var, running_var)
 
+    @pytest.mark.parametrize("mode", ["train", "frozen", "infer"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_unit_pool_shares_the_plain_arithmetic(self, dtype, mode):
+        # a 1x1x1 window is its own maximum, so both forms normalise the same
+        # tensor with the same code; only the input gradient is spread back
+        # by other expressions, which round differently
+        rng = np.random.default_rng(10)
+        x = (rng.standard_normal((4, 3, 5, 6, 3)) * 2.0 + 0.5).astype(dtype)
+        g = Tensor(rng.standard_normal(x.shape).astype(dtype))
+        results = []
+        for pool in (None, MaxPool3D((1, 1, 1), (1, 1, 1))):
+            layer = BatchNorm(3, dtype=dtype)
+            layer.gamma.data[:] = [1.5, -0.5, 0.8]
+            layer.beta.data[:] = [0.2, -1.0, 0.0]
+            layer.running_mean[:] = [0.3, -0.2, 1.0]
+            layer.running_var[:] = [2.0, 0.5, 1.2]
+            xt = Tensor(x, requires_grad=True)
+            with Tape() as tape:
+                out = layer.forward(xt, mode=mode, pool=pool)
+                loss = (out * g).sum()
+            backward(loss, tape)
+            results.append((xt.grad, out.data, layer.gamma.grad, layer.beta.grad,
+                            layer.running_mean, layer.running_var))
+        (gx_plain, *plain), (gx_pooled, *pooled) = results
+        for mine, theirs in zip(pooled, plain):
+            assert_same_bits(mine, theirs)
+        assert gx_pooled.dtype == gx_plain.dtype
+        assert np.abs(gx_pooled - gx_plain).max() <= 1e-6 * np.abs(gx_plain).max()
+
 
 class TestDropout:
     def test_infer_is_identity(self):
@@ -590,7 +619,8 @@ class TestPooledBlock:
 
     def test_flipping_a_gamma_between_calls_switches_the_path(self):
         # the stack checks gamma and slope at each call: pooled first records
-        # PooledNorm and the PReLU, the layers as written record three nodes
+        # the batch norm given the pool and the PReLU, the layers as written
+        # record three nodes
         x = block_input("ties", np.float64, channels=3)
         gammas, slopes = np.array([1.3, 0.4, 0.9]), np.array([0.25, 0.0, 1.0])
         layers = pooled_block(np.float64, "overlapping", gammas, slopes)

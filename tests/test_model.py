@@ -252,7 +252,8 @@ class TestEndToEnd:
             distance_nodes = len(tape) - visual_nodes - audio_nodes
             loss = contrastive_loss(d, y, m.config, weights=m.weight_tensors())
         # one node per layer, but a pooled-first bn -> prelu -> pool run
-        # records two (PooledNorm, PReLU), one run per stream; the input
+        # records two (the batch norm given the pool, the PReLU), one run per
+        # stream; the input
         # reshape of embed_audio needs no gradient
         assert visual_nodes == len(m.visual_net.layers) - 1 == 11
         assert audio_nodes == len(m.audio_net.layers) - 1 == 8

@@ -166,6 +166,16 @@ class TestGeneratePairs:
         with pytest.raises(ConfigError, match="whole feature hops"):
             PairConfig(fixed_shift_s=shift)
 
+    def test_shift_range_whose_hops_int64_cannot_count_rejected(self):
+        # the generator draws up to the largest hop count plus one as int64:
+        # 1e17 s is 5e18 hops, below 2**63, and 2e17 s is 1e19, above it
+        _, stats = generate_pairs([make_clip(duration=0.9)], PairConfig(max_shift_s=1e17), seed=0)
+        assert stats.genuine > 0
+        for cfg in ({"max_shift_s": 2e17}, {"max_shift_s": 1e308},
+                    {"max_shift_s": 1e200, "fixed_shift_s": 1e200}):
+            with pytest.raises(ConfigError, match="than an int64 holds"):
+                PairConfig(**cfg)
+
     @pytest.mark.parametrize("shift, hops", [(0.3, 15), (0.4, 20), (0.5, 25)])
     def test_fixed_shift_and_its_one_point_range_give_the_same_hops(self, shift, hops):
         clip = make_clip()
