@@ -194,6 +194,8 @@ def _grid_axes(spec: str) -> dict:
 def cmd_train(args) -> int:
     model_cfg, train_cfg = _train_configs(args)
     pair_cfg = PairConfig(min_shift_s=args.min_shift, max_shift_s=args.max_shift)
+    # built first, so that a model too large to allocate fails before the ingest
+    model = CoupledModel(model_cfg)
     data, stats = _packed_pairs(args.manifest, pair_cfg, args.seed, model_cfg.np_dtype)
     if stats.skipped:
         print(f"warning: skipped {stats.skipped} impostor windows (stream too short)",
@@ -203,7 +205,6 @@ def cmd_train(args) -> int:
         val_data, _ = _packed_pairs(args.val_manifest, pair_cfg, args.seed + 1,
                                     model_cfg.np_dtype)
 
-    model = CoupledModel(model_cfg)
     result = fit(model, data, train_cfg, val_data=val_data)
     avio.save_checkpoint(args.out, model)
 

@@ -31,6 +31,8 @@ from .errors import ConfigError, ContractError, ShapeError
 from .tensor import Tensor, op_result
 
 MODES = ("train", "frozen", "infer")
+COLS_BYTES = 4 << 20   # most im2col bytes a Conv3D builds at once (see Conv3D)
+GK_ROWS = 32           # Conv3D pads each chunk of its kernel-gradient GEMM to this
 BN_MOMENTUM = 0.1   # weight of the current batch in the running statistics
 BN_EPSILON = 1e-6   # added to the variance before its square root
 
@@ -132,7 +134,27 @@ class Layer:
 
 
 class Conv3D(Layer):
-    """Valid 3D cross-correlation; kernels [out_ch, kT, kH, kW, in_ch]."""
+    """Valid 3D cross-correlation; kernels [out_ch, kT, kH, kW, in_ch].
+
+    The forward builds the im2col columns (one row of kT*kH*kW*in_ch input
+    values per output position) a chunk of whole samples at a time, as many
+    as fit in COLS_BYTES and at least one, in one buffer reused across the
+    chunks, and multiplies each chunk into its rows of the output. Nothing
+    of the columns stays on the tape: the backward builds each chunk's
+    columns again and adds its kernel gradient, columns.T @ g, in chunk
+    order. Each chunk's columns and g are padded with zero rows to a
+    multiple of GK_ROWS; OpenBLAS 0.3.31 (Haswell kernels) gave that GEMM
+    the same bits under one and two threads when its inner extent was a
+    multiple of 32, and other bits at other extents, so the kernel gradient
+    does not depend on the BLAS thread count. Zero rows add exact zeros.
+
+    Why 4 MB: float32 visual conv1 and conv2 then run one sample per chunk
+    (4.3 and 10.3 MB of columns) and conv3 two (2.1 MB each), so no buffer
+    is much larger than a sample's columns, while visual conv4 and every
+    audio conv take 25 samples or more per chunk. The forward then gives the
+    bits of the whole-batch product: 4, 16 and 32 MB gave the same bits, and
+    one sample per chunk in every conv gave other bits.
+    """
 
     def __init__(self, in_ch, out_ch, kernel, stride=(1, 1, 1), seed=None,
                  dtype=np.float64, name="conv"):
@@ -145,6 +167,14 @@ class Conv3D(Layer):
         self.kernels = he_init((out_ch,) + self.kernel + (in_ch,), fan_in, seed, dtype)
         self.bias = Tensor(np.zeros(out_ch, dtype=dtype), requires_grad=True)
 
+    def _columns(self, x_data, buf):
+        """Write the im2col rows of the samples x_data into the leading rows
+        of buf and return those rows."""
+        view = _window_view(x_data, self.kernel, self.stride)
+        cols = buf[:len(x_data) * int(np.prod(view.shape[1:4]))]
+        np.copyto(cols.reshape(view.shape), view)
+        return cols
+
     def forward(self, x: Tensor, mode="infer", rng=None) -> Tensor:
         xb, squeeze = _as_batch(x)
         n, t, h, w, c = xb.data.shape
@@ -153,17 +183,35 @@ class Conv3D(Layer):
         extents = _valid_extents(self, (t, h, w))
 
         x_data = xb.data
-        rows = n * int(np.prod(extents))
-        cols = _window_view(x_data, self.kernel, self.stride).reshape(rows, -1)
         kernels = self.kernels.data
-        out_data = cols @ kernels.reshape(self.out_ch, -1).T
+        kmat = kernels.reshape(self.out_ch, -1).T   # [kT*kH*kW*in_ch, out_ch]
+        rows = int(np.prod(extents))                # output positions per sample
+        per = max(1, COLS_BYTES // (rows * kmat.shape[0] * x_data.itemsize))
+        chunks = [slice(lo, min(lo + per, n)) for lo in range(0, n, per)]
+        buf = np.empty((min(per, n) * rows, kmat.shape[0]), dtype=x_data.dtype)
+        out_data = np.empty((n * rows, self.out_ch), dtype=np.result_type(x_data, kmat))
+        for chunk in chunks:
+            np.matmul(self._columns(x_data[chunk], buf), kmat,
+                      out=out_data[chunk.start * rows:chunk.stop * rows])
         out_data += self.bias.data
         out_data = out_data.reshape((n,) + extents + (self.out_ch,))
         need_x = xb.requires_grad
 
         def bw(g):
             gmat = np.ascontiguousarray(g.reshape(-1, self.out_ch))
-            gk = (cols.T @ gmat).T.reshape(kernels.shape)
+            padded = -(-min(per, n) * rows // GK_ROWS) * GK_ROWS
+            cols_buf = np.empty((padded, kmat.shape[0]), dtype=x_data.dtype)
+            g_buf = np.empty((padded, self.out_ch), dtype=gmat.dtype)
+            gk = None
+            for chunk in chunks:
+                m = len(self._columns(x_data[chunk], cols_buf))
+                stop = -(-m // GK_ROWS) * GK_ROWS
+                cols_buf[m:stop] = 0
+                g_buf[:m] = gmat[chunk.start * rows:chunk.stop * rows]
+                g_buf[m:stop] = 0
+                part = cols_buf[:stop].T @ g_buf[:stop]
+                gk = part if gk is None else gk + part
+            gk = gk.T.reshape(kernels.shape)
             gb = gmat.sum(axis=0)
             gx = None
             if need_x:

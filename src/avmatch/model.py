@@ -29,6 +29,7 @@ VISUAL_INPUT_SHAPE = (FRAME_COUNT, TARGET_H, TARGET_W, 1)
 AUDIO_INPUT_SHAPE = (FRAME_COUNT * 1000 // (FPS * FRAME_MS), N_FILTERS, 3)
 
 DISTANCE_EPS = 1e-12
+ZETA_MAX = 2 ** 32 - 1   # a checkpoint's header stores zeta as a u32
 
 
 def check_seed(seed: int) -> int:
@@ -49,8 +50,8 @@ class ModelConfig:
     dtype: str = "float32"  # float64 for gradient-check builds
 
     def __post_init__(self):
-        if self.zeta < 1:
-            raise ConfigError("zeta must be >= 1")
+        if not 1 <= self.zeta <= ZETA_MAX:
+            raise ConfigError(f"zeta must be in [1, {ZETA_MAX}], got {self.zeta}")
         check_seed(self.seed)
         if not 0 < self.mu < math.inf:
             raise ConfigError(f"mu must be finite and > 0, got {self.mu}")

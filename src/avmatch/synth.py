@@ -75,11 +75,13 @@ def generate_corpus(out_dir, cfg: SynthConfig | None = None, seed: int = 0) -> P
     """
     from scipy.ndimage import gaussian_filter1d
     cfg = cfg or SynthConfig()
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     n_samples = int(round(cfg.clip_s * SAMPLE_RATE))
     n_frames = int(round(cfg.clip_s * FPS))
+    # the clip's sample times come first, so that a clip too long to
+    # allocate fails before anything is written
     t = np.arange(n_samples) / SAMPLE_RATE
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     manifest_rows = []
     for subj in range(cfg.n_subjects):

@@ -4,7 +4,8 @@ Values live in row-major numpy arrays (float32 or float64). Differentiable
 operations return through ``op_result``, which records a node on the active
 tape (define-by-run); ``backward`` replays the tape in reverse and accumulates
 into ``Tensor.grad``. Tapes are cheap throwaway objects, one per optimizer
-step.
+step, and a tape is consumed by its backward: each node, and the gradient of
+its output, is let go as soon as its rule has run.
 """
 
 from __future__ import annotations
@@ -200,14 +201,23 @@ def backward(loss: Tensor, tape: Tape) -> None:
     """Populate ``grad`` for every requires_grad tensor reachable from ``loss``.
 
     Gradients accumulate (existing ``grad`` values are added to); call
-    ``zero_grads`` between steps.
+    ``zero_grads`` between steps. The tape is consumed: once a node's rule has
+    run, the node is dropped from ``tape.nodes`` (its entry set to None) and
+    its output's gradient is cleared, unless that output is ``loss``, so the
+    arrays the rule held are freed as the pass goes. Leaves (parameters,
+    inputs) keep their gradients.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     seed = np.ones_like(loss.data)
     loss.grad = seed if loss.grad is None else loss.grad + seed
-    for output, inputs, backward_fn in reversed(tape.nodes):
+    nodes = tape.nodes
+    for i in reversed(range(len(nodes))):
+        output, inputs, backward_fn = nodes[i]
+        nodes[i] = None
         g = output.grad
+        if output is not loss:
+            output.grad = None
         if g is None:
             continue
         for inp, gi in zip(inputs, backward_fn(g)):

@@ -10,7 +10,7 @@ both commits under the same BLAS thread count, for example
     OPENBLAS_NUM_THREADS=1 python tests/digests.py | diff parent.txt -
 
 Each run imports the ``src`` next to its own ``tests`` directory. Pytest
-does not collect this file. It takes about 16 s and 1.0 GB on a 2-vCPU host
+does not collect this file. It takes about 20 s and 0.5 GB on a 2-vCPU host
 with one BLAS thread.
 """
 
@@ -24,7 +24,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from avmatch.model import CoupledModel, ModelConfig, batch_distances, contrastive_loss
 from avmatch.tensor import Tape, backward
-from avmatch.training import PackedPairs, TrainConfig, fit, scores
+from avmatch.training import PackedPairs, TrainConfig, fit, frozen_distances, scores
 
 
 def digest(*parts) -> str:
@@ -68,8 +68,15 @@ def layer(net, name):
 
 
 def main():
+    # forward only: a refactor of the forward keeps these lines, even where
+    # it reorders gradient sums and so changes the lines below
     model = CoupledModel(ModelConfig(seed=0))
-    show("train step N=32 gradients", gradients(model, pairs(32, 1), "train"))
+    data = pairs(32, 1)
+    show("untrained frozen distances N=32",
+         digest(frozen_distances(model, data.speech, data.visual)))
+    show("untrained infer scores", digest(scores(model, data)[0]))
+
+    show("train step N=32 gradients", gradients(model, data, "train"))
 
     # 32 pairs at batch 28: each epoch ends in a trimmed 4-pair step
     data = pairs(32, 2)

@@ -618,6 +618,20 @@ class TestMalformedValues:
         err = capsys.readouterr().err
         assert err.startswith("avmatch: out of memory: ") and err.count("\n") == 1
 
+    def test_clip_that_cannot_allocate_leaves_no_output_directory(self, tmp_path, capsys):
+        rc = main(["synth", "--out", str(tmp_path / "c"), "--clip-seconds", "1e12"])
+        assert rc == EXIT_DATA
+        assert not (tmp_path / "c").exists()
+
+    def test_zeta_past_the_checkpoint_u32_is_usage_error_before_the_manifest(self, tmp_path,
+                                                                             capsys):
+        # the manifest does not exist: reading it first would be a data error
+        rc = main(["train", "--manifest", str(tmp_path / "missing.csv"),
+                   "--out", str(tmp_path / "c.avck"), "--zeta", "4294967296"])
+        assert rc == EXIT_USAGE
+        assert "zeta" in capsys.readouterr().err
+        assert not (tmp_path / "c.avck").exists()
+
     def test_bare_train_flags_are_the_config_defaults(self):
         args = build_parser().parse_args(["train", "--manifest", "m.csv", "--out", "c.avck"])
         assert _train_configs(args) == (ModelConfig(), TrainConfig())

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from avmatch.errors import ConfigError, ContractError, ShapeError
-from avmatch.layers import (BN_EPSILON, BatchNorm, Conv3D, Dense, Dropout, Flatten,
+from avmatch.layers import (BN_EPSILON, COLS_BYTES, BatchNorm, Conv3D, Dense, Dropout, Flatten,
                             LayerStack, MaxPool3D, PReLU, he_init)
 from avmatch.model import VISUAL_INPUT_SHAPE, CoupledModel, ModelConfig
 from avmatch.tensor import Tape, Tensor, backward
@@ -123,13 +123,16 @@ class TestConv3D:
         assert np.abs(out.data - expected).max() < 1e-10
 
     def test_batched_matches_single(self):
+        # 4*39*39 rows of 16 float64 columns per sample: a few samples to a
+        # column chunk, so the batch spans several chunks, the last one short
         rng = np.random.default_rng(5)
         layer = Conv3D(2, 4, (2, 2, 2), seed=2)
-        xs = rng.standard_normal((3, 3, 4, 4, 2))
+        xs = rng.standard_normal((12, 5, 40, 40, 2))
+        per = COLS_BYTES // (4 * 39 * 39 * 16 * 8)
+        assert 1 < per < len(xs) and len(xs) % per
         batched = layer.forward(Tensor(xs)).data
-        for i in range(3):
-            single = layer.forward(Tensor(xs[i])).data
-            np.testing.assert_allclose(batched[i], single, atol=1e-12)
+        for i in range(len(xs)):
+            assert_same_bits(batched[i], layer.forward(Tensor(xs[i])).data)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_gradients(self, seed):
@@ -174,6 +177,48 @@ class TestConv3D:
         column_bytes = out.data.size // 16 * 27 * 8 * 4
         assert x.grad.shape == x.data.shape
         assert peak < column_bytes
+
+    def test_tape_holds_no_columns(self):
+        rng = np.random.default_rng(4)
+        layer = Conv3D(8, 16, (3, 3, 3), seed=4, dtype=np.float32)
+        x = Tensor(rng.standard_normal((4, 7, 20, 24, 8)).astype(np.float32),
+                   requires_grad=True)
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                out = layer.forward(x, mode="train")
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        column_bytes = out.data.size // 16 * 27 * 8 * 4
+        assert len(tape) == 1
+        assert held - out.data.nbytes < column_bytes
+
+    def test_backward_lets_go_of_the_tape(self):
+        # every intermediate array is larger than the slack, and only the
+        # tape refers to them
+        rng = np.random.default_rng(6)
+        conv = Conv3D(8, 16, (3, 3, 3), seed=6, dtype=np.float32)
+        prelu = PReLU(16, dtype=np.float32)
+        x = Tensor(rng.standard_normal((4, 7, 20, 24, 8)).astype(np.float32),
+                   requires_grad=True)
+        leaves = [x, conv.kernels, conv.bias, prelu.slope]
+
+        def loss_of(x):
+            h = prelu.forward(conv.forward(x, mode="train"), mode="train")
+            return (h * h).sum()
+
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                loss = loss_of(x)
+            backward(loss, tape)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(tape) == 4 and tape.nodes == [None] * 4
+        assert loss.grad is not None
+        assert held <= sum(t.grad.nbytes for t in leaves) + (64 << 10)
 
 
 class TestMaxPool3D:

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import avmatch
 import avmatch.training as training
 from avmatch.errors import ConfigError, ContractError, DataError
 from avmatch.model import ModelConfig
@@ -166,6 +172,39 @@ class TestTrainEpoch:
         cfg = mini_train_cfg(optimizer="adam")
         result = fit(model, data, cfg)
         assert len(result.history) == cfg.max_epochs
+
+
+# One full-size float32 SGDM step on 28 random pairs, the update batch a
+# selection pass leaves from 32; prints the model's state checksum.
+FULL_SIZE_STEP = """
+import numpy as np
+from avmatch.model import CoupledModel, ModelConfig
+from avmatch.pairs import SelectionConfig
+from avmatch.training import PackedPairs, TrainConfig, fit
+rng = np.random.default_rng(1)
+n = 28
+data = PackedPairs(rng.standard_normal((n, 15, 40, 3)).astype(np.float32),
+                   rng.standard_normal((n, 9, 60, 100, 1)).astype(np.float32),
+                   np.arange(n) % 2, np.array([f"s{i % 4}" for i in range(n)], dtype=object))
+model = CoupledModel(ModelConfig(seed=0))
+fit(model, data, TrainConfig(batch_size=n, max_epochs=1,
+                             selection=SelectionConfig(enabled=False)))
+print(model.state_checksum().hex())
+"""
+
+
+def test_full_size_step_bits_do_not_depend_on_the_blas_thread_count():
+    src = str(Path(avmatch.__file__).resolve().parents[1])
+    checksums = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        out = subprocess.run([sys.executable, "-c", FULL_SIZE_STEP], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        checksums.append(out.stdout.strip())
+    assert len(checksums[0]) == 64
+    assert checksums[0] == checksums[1]
 
 
 class TestEarlyStop:
