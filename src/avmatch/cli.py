@@ -54,9 +54,14 @@ _CONFIG_CASTS = {"epochs": int, "batch_size": int, "zeta": int, "seed": int,
 
 
 def _load_config_file(path) -> dict:
-    """key=value lines, each value cast like its flag; blank lines and #-comments ignored."""
+    """UTF-8 key=value lines, each value cast like its flag; blank lines and
+    #-comments ignored."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: config file is not UTF-8: {exc}") from None
     values = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -271,8 +271,27 @@ def _or_default(record: dict, key: str, default):
     return default if value is None or value == "" else value
 
 
+def _manifest_records(path: Path) -> list:
+    """The manifest's records as dicts, read as UTF-8."""
+    if path.suffix.lower() in (".jsonl", ".json"):
+        records = []
+        for line in path.read_text(encoding="utf-8").splitlines():
+            line = line.strip()
+            if line:
+                try:
+                    records.append(json.loads(line))
+                except json.JSONDecodeError as exc:
+                    raise DataError(f"{path}: bad JSONL line: {exc}") from exc
+        return records
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None or not set(REQUIRED_COLUMNS) <= set(reader.fieldnames):
+            raise DataError(f"{path}: manifest needs columns {REQUIRED_COLUMNS}")
+        return list(reader)
+
+
 def load_manifest(path) -> list:
-    """Read a dataset manifest (CSV with header, or JSONL).
+    """Read a dataset manifest (CSV with header, or JSONL), UTF-8 encoded.
 
     Relative paths resolve against the manifest's directory and must exist.
     Frame rate must be finite and > 0; whether it fits the pair window is
@@ -283,21 +302,10 @@ def load_manifest(path) -> list:
         raise DataError(f"{path}: manifest not found")
     base = path.parent
     rows = []
-    if path.suffix.lower() in (".jsonl", ".json"):
-        records = []
-        for line in path.read_text().splitlines():
-            line = line.strip()
-            if line:
-                try:
-                    records.append(json.loads(line))
-                except json.JSONDecodeError as exc:
-                    raise DataError(f"{path}: bad JSONL line: {exc}") from exc
-    else:
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or not set(REQUIRED_COLUMNS) <= set(reader.fieldnames):
-                raise DataError(f"{path}: manifest needs columns {REQUIRED_COLUMNS}")
-            records = list(reader)
+    try:
+        records = _manifest_records(path)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: manifest is not UTF-8: {exc}") from None
     for i, rec in enumerate(records):
         try:
             row = ManifestRow(

@@ -9,6 +9,15 @@ the way out. Forward behaviour depends on ``mode``:
   frozen  batch statistics, no state updates, no dropout (selection pass)
   infer   running statistics, no dropout
 
+A batch norm keeps the moments of its last batch-statistics forward; train
+mode adds them to the running statistics at once, and ``commit`` adds those
+of a frozen forward later, with the same arithmetic. Frozen and train mode
+give the same values and the same backward rules up to a stack's first
+Dropout, its *trunk*; the rest is its *head*. So a frozen trunk pass on a
+tape, once committed, stands for the train-mode trunk pass on that batch,
+bit for bit: training reuses its selection pass as the update's trunk when
+selection keeps every pair.
+
 A LayerStack runs a BatchNorm -> PReLU -> MaxPool3D run pooled first, in
 every mode, while every channel has gamma > 0 and a slope >= 0: the batch
 norm, given the pool, takes its statistics from the whole input but
@@ -154,6 +163,18 @@ class Conv3D(Layer):
     audio conv take 25 samples or more per chunk. The forward then gives the
     bits of the whole-batch product: 4, 16 and 32 MB gave the same bits, and
     one sample per chunk in every conv gave other bits.
+
+    A one-channel conv (visual and audio conv1) keeps its columns K-major,
+    as a C-order [kT*kH*kW, rows] buffer whose transposed view the GEMMs
+    take: each kernel offset is one row, copied from a slab of the input in
+    runs as long as an output row (98 floats in visual conv1), where the
+    row-major copy moves kW = 3 floats at a time. At N=32, float32, one BLAS
+    thread on a 2-vCPU host, visual conv1's forward fell from 127 to 61 ms
+    and its kernel gradient from 154 to 81 ms (medians of 7 calls), with
+    the same bits in float32 and float64. Audio conv1, whose output rows
+    are one float long, stayed near 1 ms. Convs with more channels keep
+    row-major columns: a K-major build, which must move the channel axis
+    in front, took visual conv2's chunk loop from 125 to 205 ms.
     """
 
     def __init__(self, in_ch, out_ch, kernel, stride=(1, 1, 1), seed=None,
@@ -167,12 +188,24 @@ class Conv3D(Layer):
         self.kernels = he_init((out_ch,) + self.kernel + (in_ch,), fan_in, seed, dtype)
         self.bias = Tensor(np.zeros(out_ch, dtype=dtype), requires_grad=True)
 
-    def _columns(self, x_data, buf):
-        """Write the im2col rows of the samples x_data into the leading rows
-        of buf and return those rows."""
+    def _columns(self, x_data, buf, extents, pad_to=1):
+        """The im2col rows of the samples x_data, [rows, kT*kH*kW*in_ch],
+        written into the flat buffer buf and followed by zero rows up to a
+        multiple of pad_to; a view of K-major storage when in_ch is 1."""
+        k = int(np.prod(self.kernel)) * self.in_ch
+        m = len(x_data) * int(np.prod(extents))
+        stop = -(-m // pad_to) * pad_to
+        if self.in_ch == 1:
+            cols = buf[:k * stop].reshape(k, stop)
+            for row, (_, index) in zip(cols, _window_slices(self.kernel, self.stride, extents)):
+                slab = x_data[index]
+                np.copyto(row[:m].reshape(slab.shape), slab)
+            cols[:, m:] = 0
+            return cols.T
+        cols = buf[:stop * k].reshape(stop, k)
         view = _window_view(x_data, self.kernel, self.stride)
-        cols = buf[:len(x_data) * int(np.prod(view.shape[1:4]))]
-        np.copyto(cols.reshape(view.shape), view)
+        np.copyto(cols[:m].reshape(view.shape), view)
+        cols[m:] = 0
         return cols
 
     def forward(self, x: Tensor, mode="infer", rng=None) -> Tensor:
@@ -188,10 +221,10 @@ class Conv3D(Layer):
         rows = int(np.prod(extents))                # output positions per sample
         per = max(1, COLS_BYTES // (rows * kmat.shape[0] * x_data.itemsize))
         chunks = [slice(lo, min(lo + per, n)) for lo in range(0, n, per)]
-        buf = np.empty((min(per, n) * rows, kmat.shape[0]), dtype=x_data.dtype)
+        buf = np.empty(min(per, n) * rows * kmat.shape[0], dtype=x_data.dtype)
         out_data = np.empty((n * rows, self.out_ch), dtype=np.result_type(x_data, kmat))
         for chunk in chunks:
-            np.matmul(self._columns(x_data[chunk], buf), kmat,
+            np.matmul(self._columns(x_data[chunk], buf, extents), kmat,
                       out=out_data[chunk.start * rows:chunk.stop * rows])
         out_data += self.bias.data
         out_data = out_data.reshape((n,) + extents + (self.out_ch,))
@@ -200,16 +233,15 @@ class Conv3D(Layer):
         def bw(g):
             gmat = np.ascontiguousarray(g.reshape(-1, self.out_ch))
             padded = -(-min(per, n) * rows // GK_ROWS) * GK_ROWS
-            cols_buf = np.empty((padded, kmat.shape[0]), dtype=x_data.dtype)
+            cols_buf = np.empty(padded * kmat.shape[0], dtype=x_data.dtype)
             g_buf = np.empty((padded, self.out_ch), dtype=gmat.dtype)
             gk = None
             for chunk in chunks:
-                m = len(self._columns(x_data[chunk], cols_buf))
-                stop = -(-m // GK_ROWS) * GK_ROWS
-                cols_buf[m:stop] = 0
+                cols = self._columns(x_data[chunk], cols_buf, extents, GK_ROWS)
+                m, stop = (chunk.stop - chunk.start) * rows, len(cols)
                 g_buf[:m] = gmat[chunk.start * rows:chunk.stop * rows]
                 g_buf[m:stop] = 0
-                part = cols_buf[:stop].T @ g_buf[:stop]
+                part = cols.T @ g_buf[:stop]
                 gk = part if gk is None else gk + part
             gk = gk.T.reshape(kernels.shape)
             gb = gmat.sum(axis=0)
@@ -332,7 +364,9 @@ class BatchNorm(Layer):
 
     With ``pool``, the MaxPool3D that ends a BatchNorm -> PReLU -> MaxPool3D
     run, ``forward`` takes the statistics from all of x but normalises only
-    the window maxima of x (see the module notes).
+    the window maxima of x (see the module notes). A batch-statistics
+    forward keeps its batch's (mean, var) for ``commit``; train mode commits
+    them at once.
     """
 
     def __init__(self, channels, dtype=np.float64, name="bn"):
@@ -342,10 +376,11 @@ class BatchNorm(Layer):
         self.beta = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
+        self._batch = None   # (mean, var) of the last batch-statistics forward, uncommitted
 
     def _moments(self, x_data: np.ndarray, mode: str):
-        """(mean, 1 / std) under ``mode``'s statistics; train mode also
-        updates the running statistics."""
+        """(mean, 1 / std) under ``mode``'s statistics; batch statistics are
+        kept for ``commit``, which train mode runs at once."""
         if x_data.shape[-1] != self.channels:
             raise ShapeError(f"{self.name}: expected {self.channels} channels, got {x_data.shape[-1]}")
         if mode not in ("train", "frozen"):
@@ -356,10 +391,21 @@ class BatchNorm(Layer):
         mean = x_data.mean(axis=axes)
         squares = x_data - mean
         var = np.square(squares, out=squares).mean(axis=axes)   # the bits of x_data.var(axis=axes)
+        self._batch = (mean, var)
         if mode == "train":
-            self.running_mean += BN_MOMENTUM * (mean - self.running_mean)
-            self.running_var += BN_MOMENTUM * (var - self.running_var)
+            self.commit()
         return mean, 1.0 / np.sqrt(var + BN_EPSILON)
+
+    def commit(self):
+        """Move the running statistics toward the moments of the last
+        batch-statistics forward, once: after a frozen forward, the state a
+        train-mode forward on that batch would have left."""
+        if self._batch is None:
+            raise ContractError(f"{self.name}: no batch statistics to commit")
+        mean, var = self._batch
+        self._batch = None
+        self.running_mean += BN_MOMENTUM * (mean - self.running_mean)
+        self.running_var += BN_MOMENTUM * (var - self.running_var)
 
     def forward(self, x: Tensor, mode="infer", rng=None, pool=None) -> Tensor:
         mean, inv_std = self._moments(x.data, mode)
@@ -470,18 +516,29 @@ class LayerStack:
     given the pool, then the PReLU, while every channel has gamma > 0 and a
     slope >= 0, checked at each call since training moves both; any other
     run, and ``trace``, go through the layers as written. Both give the same
-    values.
+    values. The stack's trunk is its layers before the first Dropout (all of
+    them when it has none), its head the rest; see the module notes.
     """
 
     def __init__(self, name, layers):
         self.name = name
         self.layers = list(layers)
-        self._runs = _runs(self.layers)
+        trunk = next((i for i, layer in enumerate(self.layers) if isinstance(layer, Dropout)),
+                     len(self.layers))
+        self._trunk_norms = [layer for layer in self.layers[:trunk] if isinstance(layer, BatchNorm)]
+        # a Dropout never sits inside a BatchNorm -> PReLU -> MaxPool3D run,
+        # so the trunk's runs and the head's together are the stack's
+        self._runs = {None: _runs(self.layers), "trunk": _runs(self.layers[:trunk]),
+                      "head": _runs(self.layers[trunk:])}
 
-    def forward(self, x: Tensor, mode="infer", rng=None) -> Tensor:
+    def forward(self, x: Tensor, mode="infer", rng=None, part=None) -> Tensor:
+        """The stack's output, or with ``part`` "trunk" or "head" that of
+        the trunk alone, or of the head given the trunk's output."""
         if mode not in MODES:
             raise ContractError(f"unknown mode {mode!r}")
-        for run in self._runs:
+        if part not in self._runs:
+            raise ContractError(f"unknown part {part!r}")
+        for run in self._runs[part]:
             if len(run) == 3:
                 bn, prelu, pool = run
                 if (bn.gamma.data > 0).all() and (prelu.slope.data >= 0).all():
@@ -490,6 +547,12 @@ class LayerStack:
             for layer in run:
                 x = layer.forward(x, mode=mode, rng=rng)
         return x
+
+    def commit(self):
+        """Commit the batch statistics of the last frozen trunk pass to the
+        trunk's batch norms (see BatchNorm.commit)."""
+        for bn in self._trunk_norms:
+            bn.commit()
 
     def trace(self, x: Tensor):
         """Run in infer mode, returning [(layer name, output shape)] per layer."""

@@ -148,11 +148,17 @@ class CoupledModel:
             x = x.reshape(x.data.shape + (1,))
         return x
 
-    def embed_visual(self, cube, mode="infer", rng=None) -> Tensor:
-        return self.visual_net.forward(self._visual_input(cube), mode=mode, rng=rng)
+    def embed_visual(self, cube, mode="infer", rng=None, part=None) -> Tensor:
+        """The visual embedding of cube, or with ``part`` the output of the
+        stream's trunk, or of its head given the trunk's output (see
+        LayerStack.forward)."""
+        x = cube if part == "head" else self._visual_input(cube)
+        return self.visual_net.forward(x, mode=mode, rng=rng, part=part)
 
-    def embed_audio(self, cube, mode="infer", rng=None) -> Tensor:
-        return self.audio_net.forward(self._audio_input(cube), mode=mode, rng=rng)
+    def embed_audio(self, cube, mode="infer", rng=None, part=None) -> Tensor:
+        """As embed_visual, for the audio stream."""
+        x = cube if part == "head" else self._audio_input(cube)
+        return self.audio_net.forward(x, mode=mode, rng=rng, part=part)
 
     def non_finite_source(self, speech, visual) -> str:
         """Where a batch's non-finite frozen distances come from: the first

@@ -1,10 +1,20 @@
 """Optimization loop, subject-disjoint folds, and run evaluation.
 
-Every mini-batch goes through a frozen forward pass first (no tape, no
-state updates) to obtain distances for monitoring and, when enabled, for the
-adaptive impostor selection; the optimizer then steps on the selected
-subset. Epoch losses are always reported from the frozen pass over the full
-batch so runs with and without selection are directly comparable.
+Every mini-batch goes through a frozen forward pass first (batch
+statistics, no state updates, no dropout) to obtain distances for
+monitoring and, when enabled, for the adaptive impostor selection; the
+optimizer then steps on the selected subset. Epoch losses are always
+reported from the frozen pass over the full batch so runs with and without
+selection are directly comparable.
+
+The frozen pass runs each stream's trunk (its layers before the first
+Dropout) on the step's tape, and its heads off the tape. When the update
+takes every pair of the batch, as early in training and whenever selection
+is off, the frozen trunks are the update's: their batch statistics are
+committed and only the heads run again, in train mode, so the step gives
+the bits of a separate train-mode pass while doing the trunk work once.
+When selection drops a pair, the tape is let go and a train-mode pass runs
+on the kept subset.
 """
 
 from __future__ import annotations
@@ -141,11 +151,18 @@ def make_optimizer(model: CoupledModel, cfg: TrainConfig):
     return SGDMomentum(model.parameters(), cfg.learning_rate)
 
 
-def _distances(model: CoupledModel, speech, visual, mode: str, rng=None) -> Tensor:
-    """Embedding distances of a batch; visual first, so dropout draws keep their order."""
-    ev = model.embed_visual(visual, mode=mode, rng=rng)
-    ea = model.embed_audio(speech, mode=mode, rng=rng)
+def _distances(model: CoupledModel, speech, visual, mode: str, rng=None, part=None) -> Tensor:
+    """Embedding distances of a batch, or with ``part="head"`` of the
+    streams' trunk outputs; visual first, so dropout draws keep their order."""
+    ev = model.embed_visual(visual, mode=mode, rng=rng, part=part)
+    ea = model.embed_audio(speech, mode=mode, rng=rng, part=part)
     return batch_distances(ev, ea)
+
+
+def _trunks(model: CoupledModel, speech, visual, mode: str):
+    """(speech, visual) trunk outputs of a batch, visual computed first."""
+    visual = model.embed_visual(visual, mode=mode, part="trunk")
+    return model.embed_audio(speech, mode=mode, part="trunk"), visual
 
 
 def frozen_distances(model: CoupledModel, speech: np.ndarray, visual: np.ndarray) -> np.ndarray:
@@ -192,7 +209,8 @@ def scores(model: CoupledModel, data: PackedPairs):
 
 def train_epoch(model: CoupledModel, data: PackedPairs, cfg: TrainConfig,
                 epoch: int, optimizer) -> EpochStats:
-    """One pass over the data: frozen pass, selection, update per mini-batch."""
+    """One pass over the data: frozen pass, selection, update per mini-batch
+    (see the module notes)."""
     order = np.random.default_rng([cfg.seed, epoch]).permutation(len(data))
     losses = []
     kept_imp = 0
@@ -208,7 +226,10 @@ def train_epoch(model: CoupledModel, data: PackedPairs, cfg: TrainConfig,
         visual = data.visual[idx]
         labels = data.labels[idx]
 
-        dist = frozen_distances(model, speech, visual)
+        tape = Tape()
+        with tape:
+            trunks = _trunks(model, speech, visual, "frozen")
+        dist = _distances(model, *trunks, "frozen", part="head").data.astype(np.float64)
         if not np.isfinite(dist).all():
             raise DataError(f"epoch {epoch} step {step}: non-finite distance; "
                             f"{model.non_finite_source(speech, visual)}")
@@ -224,10 +245,20 @@ def train_epoch(model: CoupledModel, data: PackedPairs, cfg: TrainConfig,
             train_idx = np.sort(np.concatenate([np.flatnonzero(gen_mask), imp_positions[keep]]))
         if len(train_idx) < 2:
             continue  # nothing informative survived; skip the update
+        if len(train_idx) == len(idx):
+            # the frozen trunks are the update's; commit their statistics as
+            # a train-mode pass would have
+            model.visual_net.commit()
+            model.audio_net.commit()
+        else:
+            tape = trunks = None   # let go of the frozen pass before the update's
+            tape = Tape()
+            with tape:
+                trunks = _trunks(model, speech[train_idx], visual[train_idx], "train")
 
         rng = np.random.default_rng([cfg.seed, epoch, step])
-        with Tape() as tape:
-            d = _distances(model, speech[train_idx], visual[train_idx], "train", rng)
+        with tape:
+            d = _distances(model, *trunks, "train", rng, part="head")
             loss = contrastive_loss(d, labels[train_idx], mcfg,
                                     weights=model.weight_tensors())
             backward(loss, tape)

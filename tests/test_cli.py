@@ -757,3 +757,35 @@ class TestStreamRates:
         rc = main(["features", "audio", "--manifest", str(manifest), "--out-dir", str(out_dir)])
         assert rc == EXIT_OK
         assert len(list(out_dir.glob("*.avcb"))) == len(rows)
+
+
+class TestNotUtf8:
+    """A manifest or config file that does not decode as UTF-8 is refused in
+    one line naming it (a leading UTF-16 byte-order mark here)."""
+
+    def test_csv_manifest_is_data_error(self, corpus, tmp_path, capsys):
+        manifest, _ = _edited_manifest(corpus, tmp_path, 0)
+        manifest.write_bytes(b"\xff\xfe" + manifest.read_bytes())
+        out = tmp_path / "c.avck"
+        assert main(["train", "--manifest", str(manifest), "--out", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"avmatch: {manifest}: manifest is not UTF-8")
+        assert not out.exists()
+
+    def test_jsonl_manifest_is_data_error(self, corpus, tmp_path, capsys):
+        _, rows = _edited_manifest(corpus, tmp_path, 0)
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_bytes(b"\xff\xfe" + "".join(json.dumps(row) + "\n" for row in rows).encode())
+        out_dir = tmp_path / "cubes"
+        rc = main(["features", "audio", "--manifest", str(manifest), "--out-dir", str(out_dir)])
+        assert rc == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"avmatch: {manifest}: manifest is not UTF-8")
+        assert not out_dir.exists()
+
+    def test_config_file_is_usage_error(self, corpus, tmp_path, capsys):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_bytes(b"\xff\xfeepochs=1\n")
+        out = tmp_path / "c.avck"
+        rc = main(["train", "--manifest", str(corpus), "--out", str(out), "--config", str(cfg)])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"avmatch: {cfg}: config file is not UTF-8")
+        assert not out.exists()

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from avmatch.errors import ConfigError, ContractError, ShapeError
-from avmatch.layers import (BN_EPSILON, COLS_BYTES, BatchNorm, Conv3D, Dense, Dropout, Flatten,
-                            LayerStack, MaxPool3D, PReLU, he_init)
+from avmatch.layers import (BN_EPSILON, COLS_BYTES, GK_ROWS, BatchNorm, Conv3D, Dense, Dropout,
+                            Flatten, LayerStack, MaxPool3D, PReLU, he_init)
 from avmatch.model import VISUAL_INPUT_SHAPE, CoupledModel, ModelConfig
 from avmatch.tensor import Tape, Tensor, backward
 
@@ -177,6 +177,59 @@ class TestConv3D:
         column_bytes = out.data.size // 16 * 27 * 8 * 4
         assert x.grad.shape == x.data.shape
         assert peak < column_bytes
+
+    @staticmethod
+    def row_major_conv(layer, x, g):
+        """(forward, kernel gradient, samples per chunk) of a one-channel conv
+        from explicit row-major im2col columns, in the conv's chunks, each
+        padded with zero rows to a multiple of GK_ROWS for the kernel gradient."""
+        def columns(xs):
+            view = np.lib.stride_tricks.sliding_window_view(xs[..., 0], layer.kernel,
+                                                            axis=(1, 2, 3))
+            view = view[:, ::layer.stride[0], ::layer.stride[1], ::layer.stride[2]]
+            return np.ascontiguousarray(view.reshape(-1, int(np.prod(layer.kernel))))
+
+        kmat = layer.kernels.data.reshape(layer.out_ch, -1).T
+        rows = len(columns(x[:1]))
+        per = max(1, COLS_BYTES // (rows * kmat.shape[0] * x.itemsize))
+        gmat = g.reshape(-1, layer.out_ch)
+        out, gk = [], None
+        for lo in range(0, len(x), per):
+            cols = columns(x[lo:lo + per])
+            out.append(cols @ kmat)
+            pad = -len(cols) % GK_ROWS
+            cols = np.concatenate([cols, np.zeros((pad, cols.shape[1]), x.dtype)])
+            g_chunk = np.concatenate([gmat[lo * rows:(lo + per) * rows],
+                                      np.zeros((pad, layer.out_ch), g.dtype)])
+            part = cols.T @ g_chunk
+            gk = part if gk is None else gk + part
+        out = np.concatenate(out) + layer.bias.data
+        return out.reshape(g.shape), gk.T.reshape(layer.kernels.data.shape), per
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("spatial,kernel,stride,n", [
+        ((5, 40, 40), (3, 3, 3), (1, 1, 1), None),
+        ((5, 41, 40), (3, 3, 3), (1, 2, 2), None),
+        ((15, 40, 3), (3, 5, 3), (1, 1, 1), 60),       # audio conv1: many samples to a chunk
+    ])
+    def test_one_channel_columns_match_row_major_im2col(self, dtype, spatial, kernel, stride, n):
+        # one-channel convs build their columns K-major; the GEMMs must give
+        # the bits of row-major columns
+        layer = Conv3D(1, 16, kernel, stride=stride, seed=8, dtype=dtype)
+        layer.bias.data[:] = np.linspace(-1, 1, 16, dtype=dtype)
+        if n is None:   # two full chunks of a few samples, then one sample
+            rows = int(np.prod([(s - k) // st + 1 for s, k, st in zip(spatial, kernel, stride)]))
+            n = 2 * (COLS_BYTES // (rows * int(np.prod(kernel)) * np.dtype(dtype).itemsize)) + 1
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((n,) + spatial + (1,)).astype(dtype)
+        with Tape() as tape:
+            out = layer.forward(Tensor(x), mode="train")
+            g = rng.standard_normal(out.data.shape).astype(dtype)
+            backward((out * Tensor(g)).sum(), tape)
+        expected_out, expected_gk, per = self.row_major_conv(layer, x, g)
+        assert 2 <= per < n and n % per
+        assert_same_bits(out.data, expected_out)
+        assert_same_bits(layer.kernels.grad, expected_gk)
 
     def test_tape_holds_no_columns(self):
         rng = np.random.default_rng(4)
@@ -420,6 +473,49 @@ class TestBatchNorm:
         layer.forward(Tensor(rng.standard_normal((8, 3))), mode="train")
         assert not np.array_equal(layer.running_mean, before[0])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_frozen_forward_then_commit_is_a_train_forward(self, dtype, pooled):
+        rng = np.random.default_rng(3)
+        x = Tensor((rng.standard_normal((6, 3, 7, 7, 2)) * 2.0 + 1.0).astype(dtype))
+        pool = MaxPool3D((1, 3, 3), (1, 2, 2)) if pooled else None
+        frozen, train = BatchNorm(2, dtype=dtype), BatchNorm(2, dtype=dtype)
+        for layer in (frozen, train):
+            layer.running_mean[:] = [0.5, -0.25]
+            layer.running_var[:] = [2.0, 0.75]
+        before = frozen.running_mean.tobytes() + frozen.running_var.tobytes()
+        out = frozen.forward(x, mode="frozen", pool=pool)
+        assert frozen.running_mean.tobytes() + frozen.running_var.tobytes() == before
+        frozen.commit()
+        assert_same_bits(out.data, train.forward(x, mode="train", pool=pool).data)
+        assert_same_bits(frozen.running_mean, train.running_mean)
+        assert_same_bits(frozen.running_var, train.running_var)
+
+    def test_commit_needs_an_uncommitted_batch(self):
+        layer = BatchNorm(2)
+        with pytest.raises(ContractError, match="no batch statistics"):
+            layer.commit()
+        x = Tensor(np.random.default_rng(0).standard_normal((4, 2)))
+        layer.forward(x, mode="infer")
+        with pytest.raises(ContractError):
+            layer.commit()
+        layer.forward(x, mode="frozen")
+        layer.commit()
+        with pytest.raises(ContractError):
+            layer.commit()              # each batch is committed once
+        layer.forward(x, mode="train")
+        with pytest.raises(ContractError):
+            layer.commit()              # train mode committed it already
+
+    def test_train_embed_visual_still_moves_the_running_stats(self):
+        model = build_mini_model()
+        xv = np.random.default_rng(1).standard_normal((4,) + MINI_VISUAL_SHAPE)
+        before = model.state_checksum()
+        model.embed_visual(xv, mode="frozen")
+        assert model.state_checksum() == before
+        model.embed_visual(xv, mode="train", rng=np.random.default_rng(0))
+        assert model.state_checksum() != before
+
     @pytest.mark.parametrize("seed", range(20))
     def test_gradients(self, seed):
         rng = np.random.default_rng(500 + seed)
@@ -621,6 +717,42 @@ def assert_sign_crossing_gradients_equal_layers(dtype, mode, window):
     out_s, gx_s, gp_s = run_block(stack, x, mode, g.astype(dtype))
     for mine, theirs in zip([out_s, gx_s] + gp_s, [out_l, gx_l] + gp_l):
         assert_same_bits(mine, theirs)
+
+
+class TestTrunkAndHead:
+    """A stack's trunk (its layers before the first Dropout) and head."""
+
+    @pytest.mark.parametrize("mode", ["train", "frozen", "infer"])
+    def test_trunk_then_head_is_the_stack(self, mode):
+        x = np.random.default_rng(2).standard_normal((4,) + MINI_VISUAL_SHAPE)
+        split, whole = build_mini_model(), build_mini_model()
+        trunk = split.visual_net.forward(Tensor(x), mode=mode, part="trunk")
+        assert trunk.data.shape == (4, 6)   # prelu5's output
+        out = split.visual_net.forward(trunk, mode=mode, rng=np.random.default_rng(0),
+                                       part="head")
+        assert_same_bits(out.data, whole.visual_net.forward(
+            Tensor(x), mode=mode, rng=np.random.default_rng(0)).data)
+        assert split.state_checksum() == whole.state_checksum()
+
+    def test_stack_without_dropout_is_all_trunk(self):
+        model = build_mini_model()
+        x = Tensor(np.random.default_rng(3).standard_normal((4,) + MINI_AUDIO_SHAPE + (1,)))
+        trunk = model.audio_net.forward(x, mode="frozen", part="trunk")
+        assert model.audio_net.forward(trunk, mode="train", part="head") is trunk
+        assert_same_bits(trunk.data, model.audio_net.forward(x, mode="frozen").data)
+
+    def test_commit_after_a_frozen_trunk_is_a_train_trunk(self):
+        x = np.random.default_rng(4).standard_normal((4,) + MINI_VISUAL_SHAPE)
+        frozen, train = build_mini_model(), build_mini_model()
+        frozen.visual_net.forward(Tensor(x), mode="frozen", part="trunk")
+        frozen.visual_net.commit()
+        train.visual_net.forward(Tensor(x), mode="train", part="trunk")
+        assert frozen.state_checksum() == train.state_checksum()
+
+    def test_unknown_part(self):
+        with pytest.raises(ContractError, match="unknown part"):
+            build_mini_model().visual_net.forward(Tensor(np.zeros((2,) + MINI_VISUAL_SHAPE)),
+                                                  part="neck")
 
 
 class TestPooledBlock:

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -9,10 +10,10 @@ import pytest
 import avmatch
 import avmatch.training as training
 from avmatch.errors import ConfigError, ContractError, DataError
-from avmatch.model import ModelConfig
-from avmatch.pairs import SelectionConfig
-from avmatch.tensor import Tensor
-from avmatch.training import (PackedPairs, TrainConfig, cross_validate,
+from avmatch.model import ModelConfig, batch_distances, contrastive_loss, contrastive_loss_value
+from avmatch.pairs import SelectionConfig, select_impostors
+from avmatch.tensor import Tape, Tensor, backward
+from avmatch.training import (EpochStats, PackedPairs, TrainConfig, cross_validate,
                               evaluate_run, fit, frozen_distances,
                               make_optimizer, pack_pairs, param_grid, scores,
                               split_folds, train_epoch)
@@ -172,6 +173,92 @@ class TestTrainEpoch:
         cfg = mini_train_cfg(optimizer="adam")
         result = fit(model, data, cfg)
         assert len(result.history) == cfg.max_epochs
+
+
+def two_pass_epoch(model, data, cfg, epoch, optimizer):
+    """train_epoch as separate passes: frozen distances over each batch,
+    impostor selection, then a train-mode pass on the kept pairs."""
+    order = np.random.default_rng([cfg.seed, epoch]).permutation(len(data))
+    losses, kept_imp, total_imp, steps = [], 0, 0, 0
+    for step, lo in enumerate(range(0, len(order), cfg.batch_size)):
+        batch = data.subset(order[lo:lo + cfg.batch_size])
+        if len(batch) < 2:
+            continue
+        dist = frozen_distances(model, batch.speech, batch.visual)
+        losses.append(contrastive_loss_value(dist, batch.labels, model.config.mu))
+        keep = np.arange(len(batch))
+        if cfg.selection.enabled:
+            genuine = batch.labels == 1
+            impostors = np.flatnonzero(~genuine)
+            kept = select_impostors(dist[genuine], dist[impostors], cfg.selection.eta0)
+            total_imp += len(impostors)
+            kept_imp += len(kept)
+            keep = np.sort(np.concatenate([np.flatnonzero(genuine), impostors[kept]]))
+        if len(keep) < 2:
+            continue
+        rng = np.random.default_rng([cfg.seed, epoch, step])
+        with Tape() as tape:
+            ev = model.embed_visual(batch.visual[keep], mode="train", rng=rng)
+            ea = model.embed_audio(batch.speech[keep], mode="train", rng=rng)
+            loss = contrastive_loss(batch_distances(ev, ea), batch.labels[keep], model.config,
+                                    weights=model.weight_tensors())
+            backward(loss, tape)
+        optimizer.step()
+        steps += 1
+    rate = kept_imp / total_imp if total_imp else 1.0
+    return EpochStats(epoch=epoch, mean_loss=float(np.mean(losses)), selection_rate=rate,
+                      steps=steps)
+
+
+def trunk_spy(model):
+    """Wrap the model's embed calls; returns, for each train-mode trunk pass,
+    whether the output of a frozen trunk pass was still alive when it started."""
+    frozen, alive_at_update = [], []
+
+    def spy(embed):
+        def call(cube, mode="infer", rng=None, part=None):
+            if part == "trunk" and mode == "train":
+                alive_at_update.append(any(ref() is not None for ref in frozen))
+            out = embed(cube, mode=mode, rng=rng, part=part)
+            if part == "trunk" and mode == "frozen":
+                frozen.append(weakref.ref(out.data))
+            return out
+        return call
+
+    model.embed_visual = spy(model.embed_visual)
+    model.embed_audio = spy(model.embed_audio)
+    return alive_at_update
+
+
+class TestSharedStep:
+    """train_epoch runs the trunks once when selection keeps every pair; it
+    must give the bits of the two-pass step in every case."""
+
+    @pytest.mark.parametrize("selection,kept", [
+        (SelectionConfig(enabled=False), "all"),
+        (SelectionConfig(eta0=1e3), "all"),
+        (SelectionConfig(eta0=1e-3), "some"),
+    ])
+    def test_equals_the_two_pass_step(self, selection, kept):
+        data = toy_data(20, seed=4)
+        cfg = mini_train_cfg(selection=selection)
+        shared, reference = build_mini_model(), build_mini_model()
+        assert shared.config.rho > 0
+        alive_at_update = trunk_spy(shared)
+        opt_shared, opt_reference = make_optimizer(shared, cfg), make_optimizer(reference, cfg)
+        for epoch in range(cfg.max_epochs):
+            stats = train_epoch(shared, data, cfg, epoch, opt_shared)
+            assert stats == two_pass_epoch(reference, data, cfg, epoch, opt_reference)
+            assert stats.steps > 0
+            assert (stats.selection_rate == 1.0) == (kept == "all")
+        for (name, a), (_, b) in zip(shared.named_parameters() + shared.named_buffers(),
+                                     reference.named_parameters() + reference.named_buffers()):
+            assert a.data.tobytes() == b.data.tobytes(), name
+        if kept == "all":
+            assert alive_at_update == []    # no step ran a second trunk pass
+        else:
+            # a dropping step lets go of its selection pass before the update pass
+            assert alive_at_update and not any(alive_at_update)
 
 
 # One full-size float32 SGDM step on 28 random pairs, the update batch a
