@@ -30,6 +30,16 @@ elements of a window tie only after f (a zero slope sends every negative
 input to 0), the gradient goes to the larger input, and among equal inputs
 to the first in window order. LayerStack.trace runs the layers one by one,
 as written.
+
+Where such a run follows a Conv3D whose input needs no gradient (each
+stream's conv1), the stack gives the conv to the batch norm too, and one tape
+node stands for conv -> batch norm. Its forward builds the conv output in the
+conv's chunks, takes the statistics from it, keeps only its window maxima
+and lets it go; its backward rebuilds each chunk's columns and conv output
+with the forward's GEMM, so with its bits, writes the batch norm's input
+gradient over that chunk and adds the chunk's conv gradients. So the conv
+output, a training step's largest array, never stays on the tape, and the
+gradients keep the bits of the two nodes (see BatchNorm).
 """
 
 from __future__ import annotations
@@ -164,17 +174,24 @@ class Conv3D(Layer):
     bits of the whole-batch product: 4, 16 and 32 MB gave the same bits, and
     one sample per chunk in every conv gave other bits.
 
-    A one-channel conv (visual and audio conv1) keeps its columns K-major,
-    as a C-order [kT*kH*kW, rows] buffer whose transposed view the GEMMs
-    take: each kernel offset is one row, copied from a slab of the input in
-    runs as long as an output row (98 floats in visual conv1), where the
-    row-major copy moves kW = 3 floats at a time. At N=32, float32, one BLAS
-    thread on a 2-vCPU host, visual conv1's forward fell from 127 to 61 ms
-    and its kernel gradient from 154 to 81 ms (medians of 7 calls), with
-    the same bits in float32 and float64. Audio conv1, whose output rows
-    are one float long, stayed near 1 ms. Convs with more channels keep
-    row-major columns: a K-major build, which must move the channel axis
-    in front, took visual conv2's chunk loop from 125 to 205 ms.
+    A one-channel conv whose output rows are longer than its kernel rows
+    (visual conv1) keeps its columns K-major, as a C-order [kT*kH*kW, rows]
+    buffer whose transposed view the GEMMs take: each kernel offset is one
+    row, copied from a slab of the input in runs as long as an output row
+    (98 floats in visual conv1), where the row-major copy moves kW = 3
+    floats at a time. At N=32, float32, one BLAS thread on a 2-vCPU host,
+    visual conv1's forward fell from 127 to 61 ms and its kernel gradient
+    from 154 to 81 ms (medians of 7 calls), with the same bits in float32
+    and float64. Audio conv1, whose output rows are one float long, keeps
+    row-major columns: K-major took its forward from 1.0 to 1.2 ms. Convs
+    with more channels keep row-major columns too: a K-major build, which
+    must move the channel axis in front, took visual conv2's chunk loop from
+    125 to 205 ms.
+
+    Each chunk's rows get the bias right after their GEMM, while they are
+    in cache; one pass over visual conv1's whole 81 MB output at N=32 took
+    21 ms. ``_output`` and ``_param_grads`` hold the chunk loops, which the
+    batch norm given this conv shares (see BatchNorm).
     """
 
     def __init__(self, in_ch, out_ch, kernel, stride=(1, 1, 1), seed=None,
@@ -191,11 +208,12 @@ class Conv3D(Layer):
     def _columns(self, x_data, buf, extents, pad_to=1):
         """The im2col rows of the samples x_data, [rows, kT*kH*kW*in_ch],
         written into the flat buffer buf and followed by zero rows up to a
-        multiple of pad_to; a view of K-major storage when in_ch is 1."""
+        multiple of pad_to; a view of K-major storage for one input channel
+        and output rows longer than kernel rows (see the class notes)."""
         k = int(np.prod(self.kernel)) * self.in_ch
         m = len(x_data) * int(np.prod(extents))
         stop = -(-m // pad_to) * pad_to
-        if self.in_ch == 1:
+        if self.in_ch == 1 and extents[2] > self.kernel[2]:
             cols = buf[:k * stop].reshape(k, stop)
             for row, (_, index) in zip(cols, _window_slices(self.kernel, self.stride, extents)):
                 slab = x_data[index]
@@ -208,43 +226,81 @@ class Conv3D(Layer):
         cols[m:] = 0
         return cols
 
-    def forward(self, x: Tensor, mode="infer", rng=None) -> Tensor:
-        xb, squeeze = _as_batch(x)
-        n, t, h, w, c = xb.data.shape
+    def _chunks(self, x_data):
+        """(output extents, chunks): the slices of whole samples whose
+        columns are built at once, as many as fit in COLS_BYTES, at least one."""
+        n, t, h, w, c = x_data.shape
         if c != self.in_ch:
             raise ShapeError(f"{self.name}: expected {self.in_ch} input channels, got {c}")
         extents = _valid_extents(self, (t, h, w))
+        per = max(1, COLS_BYTES // (int(np.prod(extents)) * self.kernels.data[0].size
+                                    * x_data.itemsize))
+        return extents, [slice(lo, min(lo + per, n)) for lo in range(0, n, per)]
 
-        x_data = xb.data
-        kernels = self.kernels.data
-        kmat = kernels.reshape(self.out_ch, -1).T   # [kT*kH*kW*in_ch, out_ch]
-        rows = int(np.prod(extents))                # output positions per sample
-        per = max(1, COLS_BYTES // (rows * kmat.shape[0] * x_data.itemsize))
-        chunks = [slice(lo, min(lo + per, n)) for lo in range(0, n, per)]
-        buf = np.empty(min(per, n) * rows * kmat.shape[0], dtype=x_data.dtype)
-        out_data = np.empty((n * rows, self.out_ch), dtype=np.result_type(x_data, kmat))
+    def _rows(self, cols, out):
+        """Write the output rows of im2col rows ``cols`` into ``out``."""
+        np.matmul(cols, self.kernels.data.reshape(self.out_ch, -1).T, out=out)
+        out += self.bias.data
+
+    def _output(self, x_data, extents, chunks):
+        """The output of [N,T,H,W,C] x_data, built a chunk at a time."""
+        rows = int(np.prod(extents))
+        buf = np.empty((chunks[0].stop - chunks[0].start) * rows * self.kernels.data[0].size,
+                       dtype=x_data.dtype)
+        out = np.empty((len(x_data) * rows, self.out_ch),
+                       dtype=np.result_type(x_data, self.kernels.data))
         for chunk in chunks:
-            np.matmul(self._columns(x_data[chunk], buf, extents), kmat,
-                      out=out_data[chunk.start * rows:chunk.stop * rows])
-        out_data += self.bias.data
-        out_data = out_data.reshape((n,) + extents + (self.out_ch,))
+            self._rows(self._columns(x_data[chunk], buf, extents),
+                       out[chunk.start * rows:chunk.stop * rows])
+        return out.reshape((len(x_data),) + extents + (self.out_ch,))
+
+    def _param_grads(self, x_data, extents, chunks, fill):
+        """(kernel gradient, bias gradient), a chunk at a time in chunk order.
+
+        ``fill(chunk, cols, g)`` writes the chunk's output gradient rows into
+        g, given its im2col rows cols. The kernel gradient adds cols.T @ g,
+        padded to GK_ROWS. The bias gradient is a running sum over rows, the
+        sum so far entering each chunk's as a leading row: numpy reduces the
+        leading axis of a [rows, out_ch] array in row order when out_ch > 1,
+        so that has the bits of one sum over all rows. (One output channel
+        is summed pairwise, and its bits differ in the last places.)"""
+        rows = int(np.prod(extents))
+        padded = -(-(chunks[0].stop - chunks[0].start) * rows // GK_ROWS) * GK_ROWS
+        cols_buf = np.empty(padded * self.kernels.data[0].size, dtype=x_data.dtype)
+        g_buf = np.empty((1 + padded, self.out_ch), dtype=np.result_type(x_data, self.kernels.data))
+        gk = gb = None
+        for chunk in chunks:
+            cols = self._columns(x_data[chunk], cols_buf, extents, GK_ROWS)
+            m = (chunk.stop - chunk.start) * rows
+            g = g_buf[1:1 + len(cols)]
+            fill(chunk, cols[:m], g[:m])
+            g[m:] = 0
+            part = cols.T @ g
+            gk = part if gk is None else gk + part
+            if gb is None:
+                gb = g[:m].sum(axis=0)
+            else:
+                g_buf[0] = gb
+                gb = g_buf[:1 + m].sum(axis=0)
+        return gk.T.reshape(self.kernels.data.shape), gb
+
+    def forward(self, x: Tensor, mode="infer", rng=None) -> Tensor:
+        xb, squeeze = _as_batch(x)
+        x_data = xb.data
+        extents, chunks = self._chunks(x_data)
+        out_data = self._output(x_data, extents, chunks)
+        n, c = len(x_data), self.in_ch
+        kernels = self.kernels.data
         need_x = xb.requires_grad
 
         def bw(g):
             gmat = np.ascontiguousarray(g.reshape(-1, self.out_ch))
-            padded = -(-min(per, n) * rows // GK_ROWS) * GK_ROWS
-            cols_buf = np.empty(padded * kmat.shape[0], dtype=x_data.dtype)
-            g_buf = np.empty((padded, self.out_ch), dtype=gmat.dtype)
-            gk = None
-            for chunk in chunks:
-                cols = self._columns(x_data[chunk], cols_buf, extents, GK_ROWS)
-                m, stop = (chunk.stop - chunk.start) * rows, len(cols)
-                g_buf[:m] = gmat[chunk.start * rows:chunk.stop * rows]
-                g_buf[m:stop] = 0
-                part = cols.T @ g_buf[:stop]
-                gk = part if gk is None else gk + part
-            gk = gk.T.reshape(kernels.shape)
-            gb = gmat.sum(axis=0)
+            rows = int(np.prod(extents))
+
+            def fill(chunk, cols, g_rows):
+                g_rows[:] = gmat[chunk.start * rows:chunk.stop * rows]
+
+            gk, gb = self._param_grads(x_data, extents, chunks, fill)
             gx = None
             if need_x:
                 # one GEMM per kernel offset, added straight into gx, so no
@@ -367,6 +423,17 @@ class BatchNorm(Layer):
     the window maxima of x (see the module notes). A batch-statistics
     forward keeps its batch's (mean, var) for ``commit``; train mode commits
     them at once.
+
+    With ``conv`` as well, the Conv3D before the run, x is the conv's input
+    and must need no gradient: the batch norm normalises the conv's output,
+    built in the conv's chunks and let go once pooled, and its one tape node
+    takes x, the conv's kernels and bias, gamma and beta. Its backward
+    rebuilds one chunk of the conv output at a time, overwrites it with the
+    batch norm's input gradient and adds the chunk's kernel and bias
+    gradients (Conv3D._param_grads). The statistics and the rebuilt output
+    have the bits of the conv node's output, and the kernel and bias
+    gradients those of its backward: the same padded chunks, and a bias
+    running sum that numpy reduces in row order.
     """
 
     def __init__(self, channels, dtype=np.float64, name="bn"):
@@ -407,34 +474,41 @@ class BatchNorm(Layer):
         self.running_mean += BN_MOMENTUM * (mean - self.running_mean)
         self.running_var += BN_MOMENTUM * (var - self.running_var)
 
-    def forward(self, x: Tensor, mode="infer", rng=None, pool=None) -> Tensor:
-        mean, inv_std = self._moments(x.data, mode)
-        x, squeeze = (x, False) if pool is None else _as_batch(x)
-        x_data = sel = x.data
+    def forward(self, x: Tensor, mode="infer", rng=None, pool=None, conv=None) -> Tensor:
+        xb, squeeze = (x, False) if pool is None else _as_batch(x)
+        x_data = y = xb.data   # the node's input, and the tensor to normalise
+        if conv is not None:
+            if pool is None or xb.requires_grad:
+                raise ContractError(f"{self.name}: given a conv, it needs a pool and an input "
+                                    "that needs no gradient")
+            conv_extents, chunks = conv._chunks(x_data)
+            y = conv._output(x_data, conv_extents, chunks)
+        mean, inv_std = self._moments(y[0] if squeeze else y, mode)
+        sel = y
         if pool is not None:
-            extents = _valid_extents(pool, x_data.shape[1:4])
+            extents = _valid_extents(pool, y.shape[1:4])
             slices = [index for _, index in _window_slices(pool.kernel, pool.stride, extents)]
             # x - mean rounds monotonically in x, so centring the window
             # maxima of x gives the maxima of the centred input
-            sel = _pool(x_data, slices)
+            sel = _pool(y, slices)
         x_hat = sel - mean
         x_hat *= inv_std
         gamma = self.gamma.data
         out_data = x_hat * gamma
         out_data += self.beta.data
         use_batch_stats = mode in ("train", "frozen")
-        m = x_data.size // self.channels
+        m = y.size // self.channels
         axes = tuple(range(x_hat.ndim - 1))
-        need_x = x.requires_grad
+        need_y = conv is not None or xb.requires_grad
 
         def bw(g):
             gg = (g * x_hat).sum(axis=axes)
             gb = g.sum(axis=axes)
-            if not need_x:
+            if not need_y:
                 return (None, gg, gb)
             gs = g * gamma
             if use_batch_stats:
-                # mean and var both depend on x:
+                # mean and var both depend on y:
                 # inv_std * (g * gamma - (t1 + x_hat * t2) / m)
                 t1 = gs.sum(axis=axes)
                 t2 = (gs * x_hat).sum(axis=axes)
@@ -443,27 +517,43 @@ class BatchNorm(Layer):
                 return (gx, gg, gb)
             if use_batch_stats:
                 # -inv_std * (t1 + x_hat * t2) / m at every input, as
-                # a * (x - mean) + b; t1 and t2 sum over the pooled
+                # a * (y - mean) + b; t1 and t2 sum over the pooled
                 # positions, the only ones that carry a gradient
                 a, b = inv_std * inv_std * t2 / -m, inv_std * t1 / -m
             gs *= inv_std
-            gx = np.empty_like(x_data)
-            # one sample at a time, so that the sample stays in cache while
-            # its window maxima are found and its gradient is written
-            for n in range(len(gx)):
-                one = slice(n, n + 1)
-                g_one = gx[one]
-                if use_batch_stats:
-                    np.subtract(x_data[one], mean, out=g_one)
-                    g_one *= a
-                    g_one += b
-                else:
-                    g_one.fill(0)
-                _scatter(_first_hits(x_data[one], sel[one], slices), gs[one], g_one,
-                         pool.kernel, pool.stride)
-            return (gx, gg, gb)
 
-        out = op_result(out_data, (x, self.gamma, self.beta), bw)
+            def spread(y_part, part, gy):
+                """Write into gy the gradient at y_part, the samples ``part``
+                of y; gy may be y_part itself."""
+                first = _first_hits(y_part, sel[part], slices)
+                if use_batch_stats:
+                    np.subtract(y_part, mean, out=gy)
+                    gy *= a
+                    gy += b
+                else:
+                    gy.fill(0)
+                _scatter(first, gs[part], gy, pool.kernel, pool.stride)
+
+            if conv is None:
+                gx = np.empty_like(x_data)
+                # one sample at a time, so that the sample stays in cache while
+                # its window maxima are found and its gradient is written
+                for n in range(len(gx)):
+                    one = slice(n, n + 1)
+                    spread(x_data[one], one, gx[one])
+                return (gx, gg, gb)
+
+            def fill(chunk, cols, g_rows):
+                # the chunk's conv output again, overwritten by its gradient
+                conv._rows(cols, g_rows)
+                y_part = g_rows.reshape((chunk.stop - chunk.start,) + conv_extents + (self.channels,))
+                spread(y_part, chunk, y_part)
+
+            return (None,) + conv._param_grads(x_data, conv_extents, chunks, fill) + (gg, gb)
+
+        params = (self.gamma, self.beta) if conv is None else (
+            conv.kernels, conv.bias, self.gamma, self.beta)
+        out = op_result(out_data, (xb,) + params, bw)
         return out.reshape(out.data.shape[1:]) if squeeze else out
 
     def parameters(self):
@@ -499,11 +589,14 @@ class Dropout(Layer):
 
 def _runs(layers):
     """The layers in order, each BatchNorm -> PReLU -> MaxPool3D run as one
-    group of three and every other layer as a group of one."""
+    group, led by the Conv3D before it where there is one, and every other
+    layer as a group of one."""
+    pooled = [BatchNorm, PReLU, MaxPool3D]
     runs = []
     i = 0
     while i < len(layers):
-        size = 3 if [type(layer) for layer in layers[i:i + 3]] == [BatchNorm, PReLU, MaxPool3D] else 1
+        kinds = [type(layer) for layer in layers[i:i + 4]]
+        size = 4 if kinds == [Conv3D] + pooled else 3 if kinds[:3] == pooled else 1
         runs.append(layers[i:i + size])
         i += size
     return runs
@@ -514,9 +607,10 @@ class LayerStack:
 
     ``forward`` runs a BatchNorm -> PReLU -> MaxPool3D run as the batch norm
     given the pool, then the PReLU, while every channel has gamma > 0 and a
-    slope >= 0, checked at each call since training moves both; any other
-    run, and ``trace``, go through the layers as written. Both give the same
-    values. The stack's trunk is its layers before the first Dropout (all of
+    slope >= 0, checked at each call since training moves both; the batch
+    norm is given the Conv3D before the run too when the conv's input needs
+    no gradient. Any other run, and ``trace``, go through the layers as
+    written. All give the same values. The stack's trunk is its layers before the first Dropout (all of
     them when it has none), its head the rest; see the module notes.
     """
 
@@ -539,10 +633,15 @@ class LayerStack:
         if part not in self._runs:
             raise ContractError(f"unknown part {part!r}")
         for run in self._runs[part]:
-            if len(run) == 3:
-                bn, prelu, pool = run
+            if len(run) > 1:
+                bn, prelu, pool = run[-3:]
                 if (bn.gamma.data > 0).all() and (prelu.slope.data >= 0).all():
-                    x = prelu.forward(bn.forward(x, mode=mode, pool=pool), mode=mode, rng=rng)
+                    conv = run[0] if len(run) == 4 else None
+                    if conv is not None and x.requires_grad:
+                        # the fused node takes no input gradient
+                        x, conv = conv.forward(x, mode=mode, rng=rng), None
+                    x = prelu.forward(bn.forward(x, mode=mode, pool=pool, conv=conv),
+                                      mode=mode, rng=rng)
                     continue
             for layer in run:
                 x = layer.forward(x, mode=mode, rng=rng)

@@ -231,6 +231,21 @@ class TestConv3D:
         assert_same_bits(out.data, expected_out)
         assert_same_bits(layer.kernels.grad, expected_gk)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bias_gradient_is_one_sum_over_all_rows(self, dtype):
+        # summed chunk by chunk, the running sum entering each chunk as a
+        # leading row; several chunks, the last one short
+        rng = np.random.default_rng(14)
+        layer = Conv3D(1, 16, (3, 5, 3), seed=14, dtype=dtype)
+        x = rng.standard_normal((60, 15, 40, 3, 1)).astype(dtype)
+        per = COLS_BYTES // (13 * 36 * 45 * np.dtype(dtype).itemsize)
+        assert 1 < per < len(x) and len(x) % per
+        with Tape() as tape:
+            out = layer.forward(Tensor(x), mode="train")
+            g = rng.standard_normal(out.data.shape).astype(dtype)
+            backward((out * Tensor(g)).sum(), tape)
+        assert_same_bits(layer.bias.grad, g.reshape(-1, 16).sum(axis=0))
+
     def test_tape_holds_no_columns(self):
         rng = np.random.default_rng(4)
         layer = Conv3D(8, 16, (3, 3, 3), seed=4, dtype=np.float32)
@@ -861,6 +876,151 @@ class TestPooledBlock:
         assert np.abs(gx_s - gx_l).max() <= 1e-6 * np.abs(gx_l).max()
         for mine, theirs in zip(params_s, params_l):
             assert np.abs(mine - theirs).max() <= 1e-4 * np.abs(theirs).max()
+
+
+# (input extents, conv kernel, pool kernel, pool stride) of each stream's first block
+FIRST_BLOCKS = {
+    "visual": ((9, 60, 100), (3, 3, 3), (1, 3, 3), (1, 2, 2)),
+    "audio": ((15, 40, 3), (3, 5, 3), (1, 2, 1), (1, 2, 1)),
+}
+
+
+def first_block(stream, dtype):
+    """conv1 -> bn1 -> prelu1 -> pool1 at the stream's full size, with
+    seeded conv biases, betas and running statistics, every gamma > 0 and
+    every slope >= 0 (one of them 0)."""
+    extents, kernel, pool_kernel, pool_stride = FIRST_BLOCKS[stream]
+    rng = np.random.default_rng(9)
+    conv = Conv3D(1, 16, kernel, seed=9, dtype=dtype, name="conv1")
+    conv.bias.data[:] = rng.standard_normal(16)
+    bn = BatchNorm(16, dtype=dtype, name="bn1")
+    bn.gamma.data[:] = rng.random(16) + 0.5
+    bn.beta.data[:] = rng.standard_normal(16)
+    bn.running_mean[:] = rng.standard_normal(16)
+    bn.running_var[:] = rng.random(16) + 0.5
+    prelu = PReLU(16, dtype=dtype, name="prelu1")
+    prelu.slope.data[:] = rng.random(16) / 2
+    prelu.slope.data[5] = 0.0
+    return [conv, bn, prelu, MaxPool3D(pool_kernel, pool_stride, name="pool1")]
+
+
+def run_first_block(block, x, mode, how):
+    """(output, every parameter gradient, tape nodes) of sum(out * g) for a
+    seeded g, where ``how`` is "stack" (a LayerStack, which gives the conv
+    to the batch norm), "nodes" (the conv's node, then the batch norm given
+    the pool, then the PReLU) or "layers" (the four layers as written)."""
+    conv, bn, prelu, pool = block
+    params = [p for layer in block for _, p in layer.parameters()]
+    for p in params:
+        p.grad = None
+    with Tape() as tape:
+        if how == "stack":
+            out = LayerStack("s", block).forward(Tensor(x), mode=mode)
+        elif how == "nodes":
+            out = prelu.forward(bn.forward(conv.forward(Tensor(x), mode=mode), mode=mode,
+                                           pool=pool), mode=mode)
+        else:
+            out = Tensor(x)
+            for layer in block:
+                out = layer.forward(out, mode=mode)
+        nodes = len(tape)
+        g = np.random.default_rng(10).standard_normal(out.data.shape).astype(x.dtype)
+        loss = (out * Tensor(g)).sum()
+    backward(loss, tape)
+    return out.data, [p.grad for p in params], nodes
+
+
+class TestConvNorm:
+    """A LayerStack gives a run's leading conv to the batch norm when the
+    conv's input needs no gradient: one tape node for conv -> batch norm,
+    with the bits of the conv's node and the batch norm's."""
+
+    @pytest.mark.parametrize("mode", ["train", "frozen", "infer"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("stream,n", [("audio", 60), ("visual", 3)])
+    def test_same_bits_as_the_conv_node_and_the_norm_node(self, stream, n, dtype, mode):
+        extents, kernel = FIRST_BLOCKS[stream][:2]
+        if stream == "audio":   # several samples to a column chunk, the last chunk short
+            rows = int(np.prod([e - k + 1 for e, k in zip(extents, kernel)]))
+            per = COLS_BYTES // (rows * int(np.prod(kernel)) * np.dtype(dtype).itemsize)
+            assert 1 < per < n and n % per
+        x = np.random.default_rng(11).standard_normal((n,) + extents + (1,)).astype(dtype)
+        fused, nodes = first_block(stream, dtype), first_block(stream, dtype)
+        out_f, grads_f, count_f = run_first_block(fused, x, mode, "stack")
+        out_n, grads_n, count_n = run_first_block(nodes, x, mode, "nodes")
+        assert (count_f, count_n) == (2, 3)
+        assert_same_bits(out_f, out_n)
+        assert len(grads_f) == 5
+        for mine, theirs in zip(grads_f, grads_n):
+            assert_same_bits(mine, theirs)
+        if mode == "frozen":
+            fused[1].commit()
+            nodes[1].commit()
+        for (_, mine), (_, theirs) in zip(fused[1].buffers(), nodes[1].buffers()):
+            assert_same_bits(mine, theirs)
+
+    @pytest.mark.parametrize("layer,value", [(1, 0.0), (1, -0.5), (2, -0.25)])
+    @pytest.mark.parametrize("mode", ["train", "frozen", "infer"])
+    def test_a_non_monotone_channel_runs_the_layers(self, mode, layer, value):
+        # a gamma <= 0 or a negative slope in one channel: the stack runs the
+        # four layers as written
+        x = np.random.default_rng(12).standard_normal((6, 15, 40, 3, 1)).astype(np.float32)
+        blocks = first_block("audio", np.float32), first_block("audio", np.float32)
+        for block in blocks:
+            param = block[layer].parameters()[0][1]
+            param.data[3] = value
+        out_s, grads_s, count_s = run_first_block(blocks[0], x, mode, "stack")
+        out_l, grads_l, count_l = run_first_block(blocks[1], x, mode, "layers")
+        assert count_s == count_l == 4
+        for mine, theirs in zip([out_s] + grads_s, [out_l] + grads_l):
+            assert_same_bits(mine, theirs)
+        for (_, mine), (_, theirs) in zip(blocks[0][1].buffers(), blocks[1][1].buffers()):
+            assert_same_bits(mine, theirs)
+
+    @pytest.mark.parametrize("mode", ["train", "frozen"])
+    def test_a_batch_of_one_has_no_batch_statistics(self, mode):
+        stack = LayerStack("audio", first_block("audio", np.float32))
+        x = Tensor(np.ones((1, 15, 40, 3, 1), dtype=np.float32))
+        with Tape(), pytest.raises(ContractError, match="bn1: batch statistics"):
+            stack.forward(x, mode=mode)
+
+    @pytest.mark.parametrize("stream", ["visual", "audio"])
+    def test_mini_model_block_against_finite_differences(self, stream):
+        model = build_mini_model()
+        net = model.visual_net if stream == "visual" else model.audio_net
+        conv, bn, prelu, _ = net.layers[:4]
+        block = LayerStack(stream, net.layers[:4])
+        shape = MINI_VISUAL_SHAPE if stream == "visual" else MINI_AUDIO_SHAPE + (1,)
+        x = Tensor(np.random.default_rng(6).standard_normal((3,) + shape))
+        bn.gamma.data[:] = [0.8, 1.2]
+        prelu.slope.data[:] = [0.3, 0.1]
+
+        def build():
+            out = block.forward(x, mode="train")
+            return ((out + 0.3) * out).sum()
+
+        with Tape() as tape:
+            build()
+        assert len(tape) == 5   # the fused node, the PReLU, and build's +, * and sum
+        check_op_gradients(build, [conv.kernels, conv.bias, bn.gamma, bn.beta, prelu.slope],
+                           context=f"{stream} conv and batch norm node")
+
+    def test_tape_holds_no_conv_output(self):
+        # the tape keeps the pooled tensors (under a quarter of the conv
+        # output each) and the conv's input, but not the conv output
+        x = Tensor(np.random.default_rng(13).standard_normal((2,) + VISUAL_INPUT_SHAPE)
+                   .astype(np.float32))
+        stack = LayerStack("visual", first_block("visual", np.float32))
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                stack.forward(x, mode="frozen")
+            largest = max(trace.size for trace in tracemalloc.take_snapshot().traces)
+        finally:
+            tracemalloc.stop()
+        conv_output_bytes = 2 * 7 * 58 * 98 * 16 * 4
+        assert len(tape) == 2
+        assert largest < conv_output_bytes // 2
 
 
 def every_layer():

@@ -251,16 +251,15 @@ class TestEndToEnd:
             d = batch_distances(ev, ea)
             distance_nodes = len(tape) - visual_nodes - audio_nodes
             loss = contrastive_loss(d, y, m.config, weights=m.weight_tensors())
-        # one node per layer, but a pooled-first bn -> prelu -> pool run
-        # records two (the batch norm given the pool, the PReLU), one run per
-        # stream; the input
-        # reshape of embed_audio needs no gradient
-        assert visual_nodes == len(m.visual_net.layers) - 1 == 11
-        assert audio_nodes == len(m.audio_net.layers) - 1 == 8
+        # one node per layer, but each stream's conv1 -> bn1 -> prelu1 ->
+        # pool1 records two (the batch norm given the conv and the pool, the
+        # PReLU); the input reshape of embed_audio needs no gradient
+        assert visual_nodes == len(m.visual_net.layers) - 2 == 10
+        assert audio_nodes == len(m.audio_net.layers) - 2 == 7
         # ev - ea, diff * diff, sum, + eps, sqrt
         assert distance_nodes == 5
         # data term: d * d, * 0.5, * y (3); mu - d, maximum (2); hinge * hinge,
         # * 0.5, * (1 - y) (3); +, sum, * 1/n (3). Regularizer over the 7 weight
         # tensors: w * w and sum each (14), 6 running additions, * lam and + (2).
-        assert len(tape) - 11 - 8 - 5 == 3 + 2 + 3 + 3 + 14 + 6 + 2
+        assert len(tape) - 10 - 7 - 5 == 3 + 2 + 3 + 3 + 14 + 6 + 2
         assert tape.nodes[-1][0] is loss
