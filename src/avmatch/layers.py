@@ -6,17 +6,14 @@ batch [N,T,H,W,C]; single samples run as a batch of one and are squeezed on
 the way out. Forward behaviour depends on ``mode``:
 
   train   batch statistics, running-stat updates, dropout active
-  frozen  batch statistics, no state updates, no dropout (selection pass)
+  frozen  batch statistics, no state updates, no dropout
   infer   running statistics, no dropout
 
-A batch norm keeps the moments of its last batch-statistics forward; train
-mode adds them to the running statistics at once, and ``commit`` adds those
-of a frozen forward later, with the same arithmetic. Frozen and train mode
-give the same values and the same backward rules up to a stack's first
-Dropout, its *trunk*; the rest is its *head*. So a frozen trunk pass on a
-tape, once committed, stands for the train-mode trunk pass on that batch,
-bit for bit: training reuses its selection pass as the update's trunk when
-selection keeps every pair.
+Batch statistics need a batch, so a stack refuses one unbatched sample in
+train and frozen mode before any layer runs. Only train mode moves the
+running statistics, and no layer keeps anything between calls. Frozen and
+train mode give the same values and the same backward rules up to a stack's
+first Dropout, its *trunk*; the rest is its *head*.
 
 A LayerStack runs a BatchNorm -> PReLU -> MaxPool3D run pooled first, in
 every mode, while every channel has gamma > 0 and a slope >= 0: the batch
@@ -66,7 +63,7 @@ def he_init(shape, fan_in: int, seed=None, dtype=np.float64) -> Tensor:
     return Tensor(data, requires_grad=True)
 
 
-def _as_batch(x: Tensor):
+def _batched(x: Tensor):
     if x.data.ndim == 4:
         return x.reshape((1,) + x.data.shape), True
     if x.data.ndim == 5:
@@ -285,7 +282,7 @@ class Conv3D(Layer):
         return gk.T.reshape(self.kernels.data.shape), gb
 
     def forward(self, x: Tensor, mode="infer", rng=None) -> Tensor:
-        xb, squeeze = _as_batch(x)
+        xb, squeeze = _batched(x)
         x_data = xb.data
         extents, chunks = self._chunks(x_data)
         out_data = self._output(x_data, extents, chunks)
@@ -327,7 +324,7 @@ class MaxPool3D(Layer):
         self.stride = tuple(stride)
 
     def forward(self, x: Tensor, mode="infer", rng=None) -> Tensor:
-        xb, squeeze = _as_batch(x)
+        xb, squeeze = _batched(x)
         extents = _valid_extents(self, xb.data.shape[1:4])
 
         x_data = xb.data
@@ -420,9 +417,7 @@ class BatchNorm(Layer):
 
     With ``pool``, the MaxPool3D that ends a BatchNorm -> PReLU -> MaxPool3D
     run, ``forward`` takes the statistics from all of x but normalises only
-    the window maxima of x (see the module notes). A batch-statistics
-    forward keeps its batch's (mean, var) for ``commit``; train mode commits
-    them at once.
+    the window maxima of x (see the module notes).
 
     With ``conv`` as well, the Conv3D before the run, x is the conv's input
     and must need no gradient: the batch norm normalises the conv's output,
@@ -443,11 +438,10 @@ class BatchNorm(Layer):
         self.beta = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
-        self._batch = None   # (mean, var) of the last batch-statistics forward, uncommitted
 
     def _moments(self, x_data: np.ndarray, mode: str):
-        """(mean, 1 / std) under ``mode``'s statistics; batch statistics are
-        kept for ``commit``, which train mode runs at once."""
+        """(mean, 1 / std) under ``mode``'s statistics; train mode moves the
+        running statistics toward the batch's."""
         if x_data.shape[-1] != self.channels:
             raise ShapeError(f"{self.name}: expected {self.channels} channels, got {x_data.shape[-1]}")
         if mode not in ("train", "frozen"):
@@ -458,24 +452,13 @@ class BatchNorm(Layer):
         mean = x_data.mean(axis=axes)
         squares = x_data - mean
         var = np.square(squares, out=squares).mean(axis=axes)   # the bits of x_data.var(axis=axes)
-        self._batch = (mean, var)
         if mode == "train":
-            self.commit()
+            self.running_mean += BN_MOMENTUM * (mean - self.running_mean)
+            self.running_var += BN_MOMENTUM * (var - self.running_var)
         return mean, 1.0 / np.sqrt(var + BN_EPSILON)
 
-    def commit(self):
-        """Move the running statistics toward the moments of the last
-        batch-statistics forward, once: after a frozen forward, the state a
-        train-mode forward on that batch would have left."""
-        if self._batch is None:
-            raise ContractError(f"{self.name}: no batch statistics to commit")
-        mean, var = self._batch
-        self._batch = None
-        self.running_mean += BN_MOMENTUM * (mean - self.running_mean)
-        self.running_var += BN_MOMENTUM * (var - self.running_var)
-
     def forward(self, x: Tensor, mode="infer", rng=None, pool=None, conv=None) -> Tensor:
-        xb, squeeze = (x, False) if pool is None else _as_batch(x)
+        xb, squeeze = (x, False) if pool is None else _batched(x)
         x_data = y = xb.data   # the node's input, and the tensor to normalise
         if conv is not None:
             if pool is None or xb.requires_grad:
@@ -483,7 +466,7 @@ class BatchNorm(Layer):
                                     "that needs no gradient")
             conv_extents, chunks = conv._chunks(x_data)
             y = conv._output(x_data, conv_extents, chunks)
-        mean, inv_std = self._moments(y[0] if squeeze else y, mode)
+        mean, inv_std = self._moments(y, mode)
         sel = y
         if pool is not None:
             extents = _valid_extents(pool, y.shape[1:4])
@@ -610,8 +593,9 @@ class LayerStack:
     slope >= 0, checked at each call since training moves both; the batch
     norm is given the Conv3D before the run too when the conv's input needs
     no gradient. Any other run, and ``trace``, go through the layers as
-    written. All give the same values. The stack's trunk is its layers before the first Dropout (all of
-    them when it has none), its head the rest; see the module notes.
+    written. All give the same values. The stack's trunk is its layers
+    before the first Dropout (all of them when it has none), its head the
+    rest; see the module notes.
     """
 
     def __init__(self, name, layers):
@@ -619,7 +603,6 @@ class LayerStack:
         self.layers = list(layers)
         trunk = next((i for i, layer in enumerate(self.layers) if isinstance(layer, Dropout)),
                      len(self.layers))
-        self._trunk_norms = [layer for layer in self.layers[:trunk] if isinstance(layer, BatchNorm)]
         # a Dropout never sits inside a BatchNorm -> PReLU -> MaxPool3D run,
         # so the trunk's runs and the head's together are the stack's
         self._runs = {None: _runs(self.layers), "trunk": _runs(self.layers[:trunk]),
@@ -632,6 +615,8 @@ class LayerStack:
             raise ContractError(f"unknown mode {mode!r}")
         if part not in self._runs:
             raise ContractError(f"unknown part {part!r}")
+        if mode != "infer" and part != "head" and x.data.ndim == 4:
+            raise ContractError(f"{self.name}: batch statistics need a batch of >= 2")
         for run in self._runs[part]:
             if len(run) > 1:
                 bn, prelu, pool = run[-3:]
@@ -646,12 +631,6 @@ class LayerStack:
             for layer in run:
                 x = layer.forward(x, mode=mode, rng=rng)
         return x
-
-    def commit(self):
-        """Commit the batch statistics of the last frozen trunk pass to the
-        trunk's batch norms (see BatchNorm.commit)."""
-        for bn in self._trunk_norms:
-            bn.commit()
 
     def trace(self, x: Tensor):
         """Run in infer mode, returning [(layer name, output shape)] per layer."""

@@ -1,20 +1,23 @@
 """Optimization loop, subject-disjoint folds, and run evaluation.
 
-Every mini-batch goes through a frozen forward pass first (batch
-statistics, no state updates, no dropout) to obtain distances for
-monitoring and, when enabled, for the adaptive impostor selection; the
-optimizer then steps on the selected subset. Epoch losses are always
-reported from the frozen pass over the full batch so runs with and without
-selection are directly comparable.
+Every mini-batch goes through a selection pass first: distances with
+frozen weights (batch statistics, no dropout) for monitoring and, when
+enabled, for the adaptive impostor selection; the optimizer then steps on
+the selected subset. Epoch losses are always reported from the selection
+pass over the full batch so runs with and without selection are directly
+comparable.
 
-The frozen pass runs each stream's trunk (its layers before the first
-Dropout) on the step's tape, and its heads off the tape. When the update
-takes every pair of the batch, as early in training and whenever selection
-is off, the frozen trunks are the update's: their batch statistics are
-committed and only the heads run again, in train mode, so the step gives
-the bits of a separate train-mode pass while doing the trunk work once.
-When selection drops a pair, the tape is let go and a train-mode pass runs
-on the kept subset.
+The selection pass runs each stream's trunk (its layers before the first
+Dropout) in train mode on the step's tape, and its heads frozen and off the
+tape. A trunk has no Dropout, so train mode gives it the values and backward
+rules of frozen mode, and moves the running statistics as the update's
+train-mode pass would. When the update takes every pair of the batch, as
+early in training and whenever selection is off, those trunks are the
+update's and only the heads run again, in train mode: the step gives the
+bits of a separate train-mode pass while doing the trunk work once.
+Otherwise, and before it reports non-finite distances, the step puts back
+the running statistics it copied before the selection pass; when pairs
+remain to train, it lets go of the tape and runs a train-mode pass on them.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ class TrainConfig:
 @dataclass
 class EpochStats:
     epoch: int
-    mean_loss: float        # full-batch data term from the frozen pass
+    mean_loss: float        # full-batch data term from the selection pass
     selection_rate: float   # kept impostors / impostors (1.0 when disabled)
     steps: int
     val_eer: float | None = None
@@ -159,10 +162,11 @@ def _distances(model: CoupledModel, speech, visual, mode: str, rng=None, part=No
     return batch_distances(ev, ea)
 
 
-def _trunks(model: CoupledModel, speech, visual, mode: str):
-    """(speech, visual) trunk outputs of a batch, visual computed first."""
-    visual = model.embed_visual(visual, mode=mode, part="trunk")
-    return model.embed_audio(speech, mode=mode, part="trunk"), visual
+def _trunks(model: CoupledModel, speech, visual):
+    """(speech, visual) train-mode trunk outputs of a batch, visual computed
+    first."""
+    visual = model.embed_visual(visual, mode="train", part="trunk")
+    return model.embed_audio(speech, mode="train", part="trunk"), visual
 
 
 def frozen_distances(model: CoupledModel, speech: np.ndarray, visual: np.ndarray) -> np.ndarray:
@@ -209,7 +213,7 @@ def scores(model: CoupledModel, data: PackedPairs):
 
 def train_epoch(model: CoupledModel, data: PackedPairs, cfg: TrainConfig,
                 epoch: int, optimizer) -> EpochStats:
-    """One pass over the data: frozen pass, selection, update per mini-batch
+    """One pass over the data: selection pass, impostor selection, update per mini-batch
     (see the module notes)."""
     order = np.random.default_rng([cfg.seed, epoch]).permutation(len(data))
     losses = []
@@ -226,11 +230,14 @@ def train_epoch(model: CoupledModel, data: PackedPairs, cfg: TrainConfig,
         visual = data.visual[idx]
         labels = data.labels[idx]
 
+        saved = [(b, b.copy()) for _, b in model.named_buffers()]
         tape = Tape()
         with tape:
-            trunks = _trunks(model, speech, visual, "frozen")
+            trunks = _trunks(model, speech, visual)
         dist = _distances(model, *trunks, "frozen", part="head").data.astype(np.float64)
         if not np.isfinite(dist).all():
+            for buffer, copy in saved:
+                np.copyto(buffer, copy)
             raise DataError(f"epoch {epoch} step {step}: non-finite distance; "
                             f"{model.non_finite_source(speech, visual)}")
         losses.append(contrastive_loss_value(dist, labels, mcfg.mu))
@@ -243,18 +250,15 @@ def train_epoch(model: CoupledModel, data: PackedPairs, cfg: TrainConfig,
             total_imp += len(imp_positions)
             kept_imp += len(keep)
             train_idx = np.sort(np.concatenate([np.flatnonzero(gen_mask), imp_positions[keep]]))
-        if len(train_idx) < 2:
-            continue  # nothing informative survived; skip the update
-        if len(train_idx) == len(idx):
-            # the frozen trunks are the update's; commit their statistics as
-            # a train-mode pass would have
-            model.visual_net.commit()
-            model.audio_net.commit()
-        else:
-            tape = trunks = None   # let go of the frozen pass before the update's
+        if len(train_idx) < len(idx):
+            for buffer, copy in saved:   # the update does not reuse the trunks
+                np.copyto(buffer, copy)
+            if len(train_idx) < 2:
+                continue  # nothing informative survived; skip the update
+            tape = trunks = None   # let go of the selection pass before the update's
             tape = Tape()
             with tape:
-                trunks = _trunks(model, speech[train_idx], visual[train_idx], "train")
+                trunks = _trunks(model, speech[train_idx], visual[train_idx])
 
         rng = np.random.default_rng([cfg.seed, epoch, step])
         with tape:

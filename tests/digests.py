@@ -10,7 +10,7 @@ both commits under the same BLAS thread count, for example
     OPENBLAS_NUM_THREADS=1 python tests/digests.py | diff parent.txt -
 
 Each run imports the ``src`` next to its own ``tests`` directory. Pytest
-does not collect this file. It takes about 20 s and 0.5 GB on a 2-vCPU host
+does not collect this file. It takes about 10 s and 0.5 GB on a 2-vCPU host
 with one BLAS thread.
 """
 
@@ -23,6 +23,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from avmatch.model import CoupledModel, ModelConfig, batch_distances, contrastive_loss
+from avmatch.pairs import SelectionConfig
 from avmatch.tensor import Tape, backward
 from avmatch.training import PackedPairs, TrainConfig, fit, frozen_distances, scores
 
@@ -86,6 +87,16 @@ def main():
         show(f"fit {optimizer} history", digest(repr(result.history).encode()))
         show(f"fit {optimizer} state_checksum", digest(model.state_checksum()))
         show(f"fit {optimizer} infer scores", digest(scores(model, data)[0]))
+
+    # 12 pairs at batch 3 with a tiny eta0: the first epoch skips one update
+    # and drops pairs in two steps, so each puts back the running statistics
+    # of its selection pass, and the second epoch keeps every pair
+    model = CoupledModel(ModelConfig(seed=0))
+    result = fit(model, pairs(12, 1), TrainConfig(batch_size=3, max_epochs=2,
+                                                  selection=SelectionConfig(eta0=1e-3)))
+    assert result.history[0].steps < 4 and result.history[0].selection_rate < 1
+    show("fit selecting state_checksum",
+         digest(repr(result.history).encode(), model.state_checksum()))
 
     # a negative gamma and a negative slope: those blocks run as written
     model = CoupledModel(ModelConfig(seed=0))

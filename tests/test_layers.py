@@ -490,7 +490,7 @@ class TestBatchNorm:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("pooled", [False, True])
-    def test_frozen_forward_then_commit_is_a_train_forward(self, dtype, pooled):
+    def test_frozen_forward_is_a_train_forward(self, dtype, pooled):
         rng = np.random.default_rng(3)
         x = Tensor((rng.standard_normal((6, 3, 7, 7, 2)) * 2.0 + 1.0).astype(dtype))
         pool = MaxPool3D((1, 3, 3), (1, 2, 2)) if pooled else None
@@ -501,26 +501,7 @@ class TestBatchNorm:
         before = frozen.running_mean.tobytes() + frozen.running_var.tobytes()
         out = frozen.forward(x, mode="frozen", pool=pool)
         assert frozen.running_mean.tobytes() + frozen.running_var.tobytes() == before
-        frozen.commit()
         assert_same_bits(out.data, train.forward(x, mode="train", pool=pool).data)
-        assert_same_bits(frozen.running_mean, train.running_mean)
-        assert_same_bits(frozen.running_var, train.running_var)
-
-    def test_commit_needs_an_uncommitted_batch(self):
-        layer = BatchNorm(2)
-        with pytest.raises(ContractError, match="no batch statistics"):
-            layer.commit()
-        x = Tensor(np.random.default_rng(0).standard_normal((4, 2)))
-        layer.forward(x, mode="infer")
-        with pytest.raises(ContractError):
-            layer.commit()
-        layer.forward(x, mode="frozen")
-        layer.commit()
-        with pytest.raises(ContractError):
-            layer.commit()              # each batch is committed once
-        layer.forward(x, mode="train")
-        with pytest.raises(ContractError):
-            layer.commit()              # train mode committed it already
 
     def test_train_embed_visual_still_moves_the_running_stats(self):
         model = build_mini_model()
@@ -756,14 +737,6 @@ class TestTrunkAndHead:
         assert model.audio_net.forward(trunk, mode="train", part="head") is trunk
         assert_same_bits(trunk.data, model.audio_net.forward(x, mode="frozen").data)
 
-    def test_commit_after_a_frozen_trunk_is_a_train_trunk(self):
-        x = np.random.default_rng(4).standard_normal((4,) + MINI_VISUAL_SHAPE)
-        frozen, train = build_mini_model(), build_mini_model()
-        frozen.visual_net.forward(Tensor(x), mode="frozen", part="trunk")
-        frozen.visual_net.commit()
-        train.visual_net.forward(Tensor(x), mode="train", part="trunk")
-        assert frozen.state_checksum() == train.state_checksum()
-
     def test_unknown_part(self):
         with pytest.raises(ContractError, match="unknown part"):
             build_mini_model().visual_net.forward(Tensor(np.zeros((2,) + MINI_VISUAL_SHAPE)),
@@ -953,9 +926,6 @@ class TestConvNorm:
         assert len(grads_f) == 5
         for mine, theirs in zip(grads_f, grads_n):
             assert_same_bits(mine, theirs)
-        if mode == "frozen":
-            fused[1].commit()
-            nodes[1].commit()
         for (_, mine), (_, theirs) in zip(fused[1].buffers(), nodes[1].buffers()):
             assert_same_bits(mine, theirs)
 

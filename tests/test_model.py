@@ -78,6 +78,23 @@ class TestArchitecture:
         b = model.embed_visual(cube).data
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("bn1", ["as built", "negative gamma"])
+    @pytest.mark.parametrize("mode", ["train", "frozen"])
+    @pytest.mark.parametrize("stream", ["visual", "audio"])
+    def test_one_sample_has_no_batch_statistics(self, stream, mode, bn1):
+        # refused before any layer runs, so no running statistic moves; a
+        # negative gamma sends bn1 down the unpooled path
+        m = CoupledModel(ModelConfig(seed=2, dtype="float32"))
+        net = getattr(m, f"{stream}_net")
+        if bn1 != "as built":
+            next(layer for layer in net.layers if layer.name == "bn1").gamma.data[0] = -0.5
+        shape = VISUAL_INPUT_SHAPE if stream == "visual" else AUDIO_INPUT_SHAPE
+        cube = np.random.default_rng(4).standard_normal(shape).astype(np.float32)
+        before = m.state_checksum()
+        with pytest.raises(ContractError, match=f"{stream}: batch statistics need a batch of >= 2"):
+            getattr(m, f"embed_{stream}")(cube, mode=mode, rng=np.random.default_rng(0))
+        assert m.state_checksum() == before
+
     def test_wrong_input_shape(self, model):
         with pytest.raises(ShapeError):
             model.embed_visual(np.zeros((9, 60, 99, 1), np.float32))

@@ -155,9 +155,11 @@ class TestTrainEpoch:
     def test_nan_kernel_named(self):
         model = build_mini_model()
         model.visual_net.layers[4].kernels.data[0, 0, 0, 0, 0] = np.nan   # visual conv2
+        before = model.state_checksum()
         with pytest.raises(DataError, match="epoch 0 step 0: .*parameter visual.conv2.kernels"), \
                 np.errstate(invalid="ignore"):
             fit(model, toy_data(16), mini_train_cfg())
+        assert model.state_checksum() == before
 
     def test_diverging_run_raises(self):
         model = build_mini_model()
@@ -210,24 +212,37 @@ def two_pass_epoch(model, data, cfg, epoch, optimizer):
                       steps=steps)
 
 
-def trunk_spy(model):
-    """Wrap the model's embed calls; returns, for each train-mode trunk pass,
-    whether the output of a frozen trunk pass was still alive when it started."""
-    frozen, alive_at_update = [], []
+def trunk_spy(model, monkeypatch):
+    """Spy on train_epoch's trunk passes. A step's one contrastive_loss_value
+    call comes after its selection pass and before its update pass, so of a
+    stream's trunk passes before such a call the last is that step's
+    selection pass, and any other a second pass of the step before. Returns
+    a function that lists, per second pass so far, whether its step's
+    selection pass output was still alive when it started."""
+    passes = {"visual": [], "audio": []}   # per stream: (output, selection alive)
+    selection, second = {}, []
+    loss_value = training.contrastive_loss_value
 
-    def spy(embed):
+    def spy(stream, embed):
         def call(cube, mode="infer", rng=None, part=None):
-            if part == "trunk" and mode == "train":
-                alive_at_update.append(any(ref() is not None for ref in frozen))
+            alive = stream in selection and selection[stream]() is not None
             out = embed(cube, mode=mode, rng=rng, part=part)
-            if part == "trunk" and mode == "frozen":
-                frozen.append(weakref.ref(out.data))
+            if part == "trunk":
+                passes[stream].append((weakref.ref(out.data), alive))
             return out
         return call
 
-    model.embed_visual = spy(model.embed_visual)
-    model.embed_audio = spy(model.embed_audio)
-    return alive_at_update
+    def step_loss(*args):
+        for stream, made in passes.items():
+            second.extend(alive for _, alive in made[:-1])
+            selection[stream] = made[-1][0]
+            made.clear()
+        return loss_value(*args)
+
+    model.embed_visual = spy("visual", model.embed_visual)
+    model.embed_audio = spy("audio", model.embed_audio)
+    monkeypatch.setattr(training, "contrastive_loss_value", step_loss)
+    return lambda: second + [alive for made in passes.values() for _, alive in made]
 
 
 class TestSharedStep:
@@ -238,27 +253,32 @@ class TestSharedStep:
         (SelectionConfig(enabled=False), "all"),
         (SelectionConfig(eta0=1e3), "all"),
         (SelectionConfig(eta0=1e-3), "some"),
+        # batches of two: a step with one genuine pair whose impostor is
+        # dropped skips its update
+        (SelectionConfig(eta0=1e-3), "none"),
     ])
-    def test_equals_the_two_pass_step(self, selection, kept):
+    def test_equals_the_two_pass_step(self, selection, kept, monkeypatch):
         data = toy_data(20, seed=4)
-        cfg = mini_train_cfg(selection=selection)
+        cfg = mini_train_cfg(selection=selection, batch_size=2 if kept == "none" else 8)
         shared, reference = build_mini_model(), build_mini_model()
         assert shared.config.rho > 0
-        alive_at_update = trunk_spy(shared)
+        second_passes = trunk_spy(shared, monkeypatch)
         opt_shared, opt_reference = make_optimizer(shared, cfg), make_optimizer(reference, cfg)
         for epoch in range(cfg.max_epochs):
             stats = train_epoch(shared, data, cfg, epoch, opt_shared)
             assert stats == two_pass_epoch(reference, data, cfg, epoch, opt_reference)
             assert stats.steps > 0
             assert (stats.selection_rate == 1.0) == (kept == "all")
+            if kept == "none":
+                assert stats.steps < len(data) // cfg.batch_size
         for (name, a), (_, b) in zip(shared.named_parameters() + shared.named_buffers(),
                                      reference.named_parameters() + reference.named_buffers()):
             assert a.data.tobytes() == b.data.tobytes(), name
-        if kept == "all":
-            assert alive_at_update == []    # no step ran a second trunk pass
-        else:
+        if kept == "some":
             # a dropping step lets go of its selection pass before the update pass
-            assert alive_at_update and not any(alive_at_update)
+            assert second_passes() and not any(second_passes())
+        else:
+            assert second_passes() == []    # no step ran a second trunk pass
 
 
 # One full-size float32 SGDM step on 28 random pairs, the update batch a
