@@ -203,7 +203,10 @@ def load_checkpoint(path, dtype: str = "float32") -> CoupledModel:
     stored zeta disagrees with the stored embedding weights, or when the
     stored architecture digest does not match the model built from the
     stored configuration. Blobs are copied into the built model's arrays.
+    An unsupported ``dtype`` is the caller's ConfigError, raised before the
+    file is read.
     """
+    ModelConfig(dtype=dtype)
     raw = Path(path).read_bytes()
     pos = _check_header(path, raw, CKPT_MAGIC, "checkpoint")
     (zeta, mu, lam, rho, seed, digest, n_blobs), pos = _take(path, raw, pos, CKPT_HEADER)

@@ -156,9 +156,12 @@ class Conv3D(Layer):
     values per output position) a chunk of whole samples at a time, as many
     as fit in COLS_BYTES and at least one, in one buffer reused across the
     chunks, and multiplies each chunk into its rows of the output. Nothing
-    of the columns stays on the tape: the backward builds each chunk's
-    columns again and adds its kernel gradient, columns.T @ g, in chunk
-    order. Each chunk's columns and g are padded with zero rows to a
+    of the columns stays on the tape: the backward walks the chunks once, in
+    order, building each chunk's columns again and adding its kernel
+    gradient, columns.T @ g; where the input needs a gradient, it adds the
+    chunk's input gradient into its samples, one GEMM of the chunk's g per
+    kernel offset, so no column gradient is built and the chunk's gradient
+    stays in cache. Each chunk's columns and g are padded with zero rows to a
     multiple of GK_ROWS; OpenBLAS 0.3.31 (Haswell kernels) gave that GEMM
     the same bits under one and two threads when its inner extent was a
     multiple of 32, and other bits at other extents, so the kernel gradient
@@ -286,27 +289,24 @@ class Conv3D(Layer):
         x_data = xb.data
         extents, chunks = self._chunks(x_data)
         out_data = self._output(x_data, extents, chunks)
-        n, c = len(x_data), self.in_ch
         kernels = self.kernels.data
         need_x = xb.requires_grad
 
         def bw(g):
             gmat = np.ascontiguousarray(g.reshape(-1, self.out_ch))
             rows = int(np.prod(extents))
+            # calloc; pages filled lazily, a chunk at a time
+            gx = np.zeros(x_data.shape, dtype=g.dtype) if need_x else None
 
             def fill(chunk, cols, g_rows):
                 g_rows[:] = gmat[chunk.start * rows:chunk.stop * rows]
+                if need_x:
+                    gx_part = gx[chunk]
+                    shape = (chunk.stop - chunk.start,) + extents + (self.in_ch,)
+                    for offset, index in _window_slices(self.kernel, self.stride, extents):
+                        gx_part[index] += (g_rows @ kernels[(slice(None),) + offset]).reshape(shape)
 
-            gk, gb = self._param_grads(x_data, extents, chunks, fill)
-            gx = None
-            if need_x:
-                # one GEMM per kernel offset, added straight into gx, so no
-                # whole-batch column gradient is ever built
-                gx = np.zeros(x_data.shape, dtype=g.dtype)  # calloc; pages filled lazily
-                for offset, index in _window_slices(self.kernel, self.stride, extents):
-                    gx[index] += (gmat @ kernels[(slice(None),) + offset]).reshape(
-                        (n,) + extents + (c,))
-            return (gx, gk, gb)
+            return (gx,) + self._param_grads(x_data, extents, chunks, fill)
 
         out = op_result(out_data, (xb, self.kernels, self.bias), bw)
         return out.reshape(out.data.shape[1:]) if squeeze else out

@@ -120,44 +120,35 @@ class CoupledModel:
         self.config = config or ModelConfig()
         rng = np.random.default_rng(self.config.seed)
         # injected nets (shrunken test models) skip the canonical shape check
-        self.visual_input_shape = VISUAL_INPUT_SHAPE if visual_net is None else None
-        self.audio_input_shape = AUDIO_INPUT_SHAPE if audio_net is None else None
+        self._input_shapes = {"visual": VISUAL_INPUT_SHAPE if visual_net is None else None,
+                              "audio": AUDIO_INPUT_SHAPE if audio_net is None else None}
         self.visual_net = visual_net if visual_net is not None else build_visual_net(self.config, rng)
         self.audio_net = audio_net if audio_net is not None else build_audio_net(self.config, rng)
 
-    @staticmethod
-    def _check_input(x: Tensor, expected, stream: str) -> None:
-        if expected is None:
-            return
-        shape = x.data.shape
-        if shape[-len(expected):] != expected or x.data.ndim > len(expected) + 1:
+    def _input(self, cube, stream: str) -> Tensor:
+        """cube as a tensor of the model's dtype, checked against ``stream``'s
+        input shape (optionally batched); an audio cube [15,40,3] or batch
+        [N,15,40,3] runs as a depth-1 volume."""
+        x = cube if isinstance(cube, Tensor) else Tensor(np.asarray(cube, dtype=self.config.np_dtype))
+        expected, shape = self._input_shapes[stream], x.data.shape
+        if expected is not None and (shape[-len(expected):] != expected
+                                     or len(shape) > len(expected) + 1):
             raise ShapeError(f"{stream} input must be {expected} "
                              f"(optionally batched), got {shape}")
-
-    def _visual_input(self, cube) -> Tensor:
-        x = cube if isinstance(cube, Tensor) else Tensor(np.asarray(cube, dtype=self.config.np_dtype))
-        self._check_input(x, self.visual_input_shape, "visual")
-        return x
-
-    def _audio_input(self, cube) -> Tensor:
-        x = cube if isinstance(cube, Tensor) else Tensor(np.asarray(cube, dtype=self.config.np_dtype))
-        self._check_input(x, self.audio_input_shape, "audio")
-        if x.data.ndim == 3:          # [15,40,3] runs as a depth-1 volume
-            x = x.reshape(x.data.shape + (1,))
-        elif x.data.ndim == 4 and x.data.shape[-1] != 1:  # batch [N,15,40,3]
-            x = x.reshape(x.data.shape + (1,))
+        if stream == "audio" and (len(shape) == 3 or len(shape) == 4 and shape[-1] != 1):
+            x = x.reshape(shape + (1,))
         return x
 
     def embed_visual(self, cube, mode="infer", rng=None, part=None) -> Tensor:
         """The visual embedding of cube, or with ``part`` the output of the
         stream's trunk, or of its head given the trunk's output (see
         LayerStack.forward)."""
-        x = cube if part == "head" else self._visual_input(cube)
+        x = cube if part == "head" else self._input(cube, "visual")
         return self.visual_net.forward(x, mode=mode, rng=rng, part=part)
 
     def embed_audio(self, cube, mode="infer", rng=None, part=None) -> Tensor:
         """As embed_visual, for the audio stream."""
-        x = cube if part == "head" else self._audio_input(cube)
+        x = cube if part == "head" else self._input(cube, "audio")
         return self.audio_net.forward(x, mode=mode, rng=rng, part=part)
 
     def non_finite_source(self, speech, visual) -> str:
@@ -166,8 +157,8 @@ class CoupledModel:
         for name, p in self.named_parameters():
             if not np.isfinite(p.data).all():
                 return f"parameter {name} is non-finite"
-        for net, x in ((self.visual_net, self._visual_input(visual)),
-                       (self.audio_net, self._audio_input(speech))):
+        for net, x in ((self.visual_net, self._input(visual, "visual")),
+                       (self.audio_net, self._input(speech, "audio"))):
             for layer in net.layers:
                 x = layer.forward(x, mode="frozen")
                 if not np.isfinite(x.data).all():
@@ -265,13 +256,3 @@ def contrastive_loss(distances: Tensor, labels, config: ModelConfig,
             reg = term if reg is None else reg + term
         loss = loss + reg * config.lam
     return loss
-
-
-def contrastive_loss_value(distances, labels, mu: float) -> float:
-    """Plain-number data term of the contrastive loss (monitoring, no autodiff)."""
-    d = np.asarray(distances, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
-    if d.size == 0:
-        raise ContractError("contrastive loss needs a nonempty batch")
-    hinge = np.maximum(mu - d, 0.0)
-    return float(np.mean(y * 0.5 * d * d + (1.0 - y) * 0.5 * hinge * hinge))

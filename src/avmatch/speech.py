@@ -85,33 +85,20 @@ def frame_signal(clip: AudioClip) -> np.ndarray:
     return clip.samples[:n - n % win].reshape(-1, win)
 
 
-def _mel_edges(n_filters: int, f_low: float, f_high: float) -> np.ndarray:
-    """The n_filters + 2 triangle breakpoints in Hz, equally spaced in mel."""
-    return mel_to_hz(np.linspace(hz_to_mel(f_low), hz_to_mel(f_high), n_filters + 2))
-
-
-def mel_filterbank(n_filters: int, fft_size: int, sample_rate: int,
-                   f_low: float, f_high: float) -> np.ndarray:
-    """Triangular filter weights [n_filters, fft_size // 2 + 1].
+def mel_filterbank(sample_rate: int) -> np.ndarray:
+    """Triangular filter weights [N_FILTERS, FFT_SIZE // 2 + 1] from 0 Hz to
+    the Nyquist frequency of ``sample_rate``.
 
     Breakpoints are equally spaced on the mel scale; each triangle rises from
     one breakpoint to the next and falls to the one after, evaluated at the
     FFT bin center frequencies.
     """
-    if f_high > sample_rate / 2.0:
-        raise ConfigError(f"f_high {f_high} Hz above Nyquist {sample_rate / 2.0} Hz")
-    if f_low < 0 or f_low >= f_high:
-        raise ConfigError(f"need 0 <= f_low < f_high, got {f_low}, {f_high}")
-    edges_hz = _mel_edges(n_filters, f_low, f_high)[:, None]
+    edges_hz = mel_to_hz(np.linspace(0.0, hz_to_mel(sample_rate / 2.0), N_FILTERS + 2))[:, None]
     left, center, right = edges_hz[:-2], edges_hz[1:-1], edges_hz[2:]
-    bins_hz = np.arange(fft_size // 2 + 1) * (sample_rate / fft_size)
+    bins_hz = np.arange(FFT_SIZE // 2 + 1) * (sample_rate / FFT_SIZE)
     rising = (bins_hz - left) / (center - left)
     falling = (right - bins_hz) / (right - center)
     return np.clip(np.minimum(rising, falling), 0.0, None)
-
-
-def filter_center_frequencies(sample_rate: int) -> np.ndarray:
-    return _mel_edges(N_FILTERS, 0.0, sample_rate / 2.0)[1:-1]
 
 
 def mel_filterbank_energies(frames: np.ndarray, sample_rate: int = SAMPLE_RATE) -> np.ndarray:
@@ -127,7 +114,7 @@ def mel_filterbank_energies(frames: np.ndarray, sample_rate: int = SAMPLE_RATE) 
     if win > FFT_SIZE:
         raise DataError(f"{sample_rate} Hz audio gives {win}-sample frames, "
                         f"longer than fft_size {FFT_SIZE}")
-    filterbank = mel_filterbank(N_FILTERS, FFT_SIZE, sample_rate, 0.0, sample_rate / 2.0)
+    filterbank = mel_filterbank(sample_rate)
     spectrum = np.fft.rfft(frames * np.hamming(win), n=FFT_SIZE, axis=-1)
     power = (spectrum.real ** 2 + spectrum.imag ** 2) / FFT_SIZE
     return np.log(power @ filterbank.T + LOG_ENERGY_FLOOR)

@@ -5,7 +5,8 @@ frozen weights (batch statistics, no dropout) for monitoring and, when
 enabled, for the adaptive impostor selection; the optimizer then steps on
 the selected subset. Epoch losses are always reported from the selection
 pass over the full batch so runs with and without selection are directly
-comparable.
+comparable: a step's loss is contrastive_loss's data term, without the
+weights, on the selection pass's float64 distances.
 
 The selection pass runs each stream's trunk (its layers before the first
 Dropout) in train mode on the step's tape, and its heads frozen and off the
@@ -29,8 +30,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, DataError
 from .metrics import compute_eer, metrics_from_scores
-from .model import CoupledModel, ModelConfig, batch_distances, check_seed, \
-    contrastive_loss, contrastive_loss_value
+from .model import CoupledModel, ModelConfig, batch_distances, check_seed, contrastive_loss
 from .pairs import SelectionConfig, select_impostors
 from .tensor import Tape, Tensor, backward
 
@@ -240,7 +240,7 @@ def train_epoch(model: CoupledModel, data: PackedPairs, cfg: TrainConfig,
                 np.copyto(buffer, copy)
             raise DataError(f"epoch {epoch} step {step}: non-finite distance; "
                             f"{model.non_finite_source(speech, visual)}")
-        losses.append(contrastive_loss_value(dist, labels, mcfg.mu))
+        losses.append(contrastive_loss(Tensor(dist), labels, mcfg).item())
 
         train_idx = np.arange(len(idx))
         if cfg.selection.enabled:

@@ -95,8 +95,8 @@ def main():
     result = fit(model, pairs(12, 1), TrainConfig(batch_size=3, max_epochs=2,
                                                   selection=SelectionConfig(eta0=1e-3)))
     assert result.history[0].steps < 4 and result.history[0].selection_rate < 1
-    show("fit selecting state_checksum",
-         digest(repr(result.history).encode(), model.state_checksum()))
+    show("fit selecting history", digest(repr(result.history).encode()))
+    show("fit selecting state_checksum", digest(model.state_checksum()))
 
     # a negative gamma and a negative slope: those blocks run as written
     model = CoupledModel(ModelConfig(seed=0))

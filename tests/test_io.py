@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from avmatch import io as avio
-from avmatch.errors import DataError
+from avmatch.errors import ConfigError, DataError
 from avmatch.model import CoupledModel, ModelConfig
 from checkpoint_bytes import write_nan_into_blob
 
@@ -261,6 +261,30 @@ class TestCheckpoint:
         with pytest.raises(DataError, match=f"stored zeta {zeta} disagrees with blob "
                                             r"visual.fc6.weights of shape \(256, 16\)"):
             avio.load_checkpoint(path)
+
+    def test_unsupported_dtype_is_the_callers_config_error(self, tmp_path, model):
+        # checked before the file is read: a missing file and a file with a
+        # bad stored margin give the same error, which stays the file's
+        # fault with a supported dtype
+        path = tmp_path / "m.avck"
+        avio.save_checkpoint(path, model)
+        bad = bytearray(path.read_bytes())
+        bad[10:18] = struct.pack("<d", float("nan"))   # mu, after magic, version and zeta
+        (tmp_path / "mu.avck").write_bytes(bytes(bad))
+        for name in ("m.avck", "missing.avck", "mu.avck"):
+            with pytest.raises(ConfigError, match="unsupported dtype 'float16'"):
+                avio.load_checkpoint(tmp_path / name, dtype="float16")
+        with pytest.raises(DataError, match="bad stored configuration: mu must be finite"):
+            avio.load_checkpoint(tmp_path / "mu.avck", dtype="float64")
+
+    def test_float64_load_holds_the_stored_values(self, tmp_path, model):
+        path = tmp_path / "m.avck"
+        avio.save_checkpoint(path, model)
+        loaded = avio.load_checkpoint(path, dtype="float64")
+        assert loaded.config.dtype == "float64"
+        for (_, pa), (_, pb) in zip(model.named_parameters(), loaded.named_parameters()):
+            assert pb.data.dtype == np.float64
+            np.testing.assert_array_equal(pa.data, pb.data)
 
     def test_largest_seed_round_trips(self, tmp_path):
         path = tmp_path / "big.avck"

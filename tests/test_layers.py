@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from avmatch import layers
 from avmatch.errors import ConfigError, ContractError, ShapeError
 from avmatch.layers import (BN_EPSILON, COLS_BYTES, GK_ROWS, BatchNorm, Conv3D, Dense, Dropout,
                             Flatten, LayerStack, MaxPool3D, PReLU, he_init)
@@ -245,6 +246,42 @@ class TestConv3D:
             g = rng.standard_normal(out.data.shape).astype(dtype)
             backward((out * Tensor(g)).sum(), tape)
         assert_same_bits(layer.bias.grad, g.reshape(-1, 16).sum(axis=0))
+
+    @staticmethod
+    def whole_batch_input_grad(layer, x, g):
+        """The input gradient over the whole batch: one GEMM per kernel offset
+        on every row of g, added into gx in offset order."""
+        gmat = g.reshape(-1, layer.out_ch)
+        gx = np.zeros_like(x)
+        for offset in np.ndindex(*layer.kernel):
+            index = (slice(None),) + tuple(slice(i, i + s * n, s)
+                                           for i, s, n in zip(offset, layer.stride, g.shape[1:4]))
+            part = gmat @ layer.kernels.data[(slice(None),) + offset]
+            gx[index] += part.reshape(g.shape[:4] + (layer.in_ch,))
+        return gx
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("in_ch,out_ch,stride", [
+        (4, 8, (1, 1, 1)),
+        (3, 5, (1, 2, 2)),
+        (1, 16, (1, 1, 1)),    # K-major columns
+    ])
+    @pytest.mark.parametrize("per", [1, 3, 7])   # 7 samples: one-sample, short last, one chunk
+    def test_input_gradient_does_not_depend_on_chunking(self, monkeypatch, dtype, in_ch,
+                                                        out_ch, stride, per):
+        rng = np.random.default_rng(15)
+        layer = Conv3D(in_ch, out_ch, (3, 3, 3), stride=stride, seed=15, dtype=dtype)
+        x = Tensor(rng.standard_normal((7, 5, 12, 14, in_ch)).astype(dtype), requires_grad=True)
+        extents, _ = layer._chunks(x.data)
+        monkeypatch.setattr(layers, "COLS_BYTES",
+                            per * int(np.prod(extents)) * 27 * in_ch * np.dtype(dtype).itemsize)
+        assert [c.stop - c.start for c in layer._chunks(x.data)[1]] == \
+            [per] * (7 // per) + [7 % per] * (7 % per > 0)
+        with Tape() as tape:
+            out = layer.forward(x, mode="train")
+            g = rng.standard_normal(out.data.shape).astype(dtype)
+            backward((out * Tensor(g)).sum(), tape)
+        assert_same_bits(x.grad, self.whole_batch_input_grad(layer, x.data, g))
 
     def test_tape_holds_no_columns(self):
         rng = np.random.default_rng(4)

@@ -3,8 +3,7 @@ import pytest
 
 from avmatch.errors import ConfigError, ContractError, ShapeError
 from avmatch.model import (AUDIO_INPUT_SHAPE, VISUAL_INPUT_SHAPE, CoupledModel,
-                           ModelConfig, batch_distances, contrastive_loss,
-                           contrastive_loss_value, pair_distance)
+                           ModelConfig, batch_distances, contrastive_loss, pair_distance)
 from avmatch.tensor import Tape, Tensor, backward
 
 from gradcheck import check_op_gradients
@@ -200,13 +199,6 @@ class TestContrastiveLoss:
     def test_non_binary_labels(self):
         with pytest.raises(ContractError):
             contrastive_loss(Tensor([0.5]), np.array([2]), self.CFG)
-
-    def test_plain_value_matches_tensor_path(self):
-        rng = np.random.default_rng(1)
-        d = rng.uniform(0, 2, 16)
-        y = (rng.random(16) < 0.5).astype(int)
-        assert contrastive_loss_value(d, y, 1.0) == pytest.approx(
-            self.closed_form(d, y), abs=1e-12)
 
     def test_distance_gradient_signs(self):
         # genuine pull >= 0, impostor push <= 0 inside the margin, 0 beyond it

@@ -10,7 +10,7 @@ import pytest
 import avmatch
 import avmatch.training as training
 from avmatch.errors import ConfigError, ContractError, DataError
-from avmatch.model import ModelConfig, batch_distances, contrastive_loss, contrastive_loss_value
+from avmatch.model import ModelConfig, batch_distances, contrastive_loss
 from avmatch.pairs import SelectionConfig, select_impostors
 from avmatch.tensor import Tape, Tensor, backward
 from avmatch.training import (EpochStats, PackedPairs, TrainConfig, cross_validate,
@@ -187,7 +187,7 @@ def two_pass_epoch(model, data, cfg, epoch, optimizer):
         if len(batch) < 2:
             continue
         dist = frozen_distances(model, batch.speech, batch.visual)
-        losses.append(contrastive_loss_value(dist, batch.labels, model.config.mu))
+        losses.append(contrastive_loss(Tensor(dist), batch.labels, model.config).item())
         keep = np.arange(len(batch))
         if cfg.selection.enabled:
             genuine = batch.labels == 1
@@ -213,15 +213,16 @@ def two_pass_epoch(model, data, cfg, epoch, optimizer):
 
 
 def trunk_spy(model, monkeypatch):
-    """Spy on train_epoch's trunk passes. A step's one contrastive_loss_value
-    call comes after its selection pass and before its update pass, so of a
-    stream's trunk passes before such a call the last is that step's
-    selection pass, and any other a second pass of the step before. Returns
-    a function that lists, per second pass so far, whether its step's
-    selection pass output was still alive when it started."""
+    """Spy on train_epoch's trunk passes. A step's one contrastive_loss call
+    on distances that need no gradient, its recorded loss, comes after its
+    selection pass and before its update pass, so of a stream's trunk passes
+    before such a call the last is that step's selection pass, and any other
+    a second pass of the step before. Returns a function that lists, per
+    second pass so far, whether its step's selection pass output was still
+    alive when it started."""
     passes = {"visual": [], "audio": []}   # per stream: (output, selection alive)
     selection, second = {}, []
-    loss_value = training.contrastive_loss_value
+    loss = training.contrastive_loss
 
     def spy(stream, embed):
         def call(cube, mode="infer", rng=None, part=None):
@@ -232,16 +233,17 @@ def trunk_spy(model, monkeypatch):
             return out
         return call
 
-    def step_loss(*args):
-        for stream, made in passes.items():
-            second.extend(alive for _, alive in made[:-1])
-            selection[stream] = made[-1][0]
-            made.clear()
-        return loss_value(*args)
+    def step_loss(distances, *args, **kwargs):
+        if not distances.requires_grad:
+            for stream, made in passes.items():
+                second.extend(alive for _, alive in made[:-1])
+                selection[stream] = made[-1][0]
+                made.clear()
+        return loss(distances, *args, **kwargs)
 
     model.embed_visual = spy("visual", model.embed_visual)
     model.embed_audio = spy("audio", model.embed_audio)
-    monkeypatch.setattr(training, "contrastive_loss_value", step_loss)
+    monkeypatch.setattr(training, "contrastive_loss", step_loss)
     return lambda: second + [alive for made in passes.values() for _, alive in made]
 
 
