@@ -184,6 +184,8 @@ def _grid_axes(spec: str) -> dict:
         key = key.strip()
         if key not in types:
             raise ConfigError(f"unknown hyperparameter {key!r}")
+        if key in axes:
+            raise ConfigError(f"grid axis {key!r} given twice")
         try:
             axes[key] = [types[key](v.strip()) for v in values.split(",")]
         except ValueError:

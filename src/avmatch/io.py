@@ -182,8 +182,7 @@ def _pack_blob(name: str, array: np.ndarray) -> bytes:
 def save_checkpoint(path, model: CoupledModel) -> None:
     """Write the model; a state holding NaN or inf is refused before any byte is written."""
     cfg = model.config
-    blobs = [(name, p.data) for name, p in model.named_parameters()]
-    blobs += [(name, b) for name, b in model.named_buffers()]
+    blobs = model.named_arrays()
     body = struct.pack(CKPT_HEADER, cfg.zeta, cfg.mu, cfg.lam, cfg.rho, cfg.seed,
                        model.spec_digest(), len(blobs))
     for name, arr in blobs:
@@ -239,8 +238,7 @@ def load_checkpoint(path, dtype: str = "float32") -> CoupledModel:
     model = CoupledModel(cfg)
     if model.spec_digest() != digest:
         raise DataError(f"{path}: architecture digest mismatch; refusing to load")
-    targets = {name: p.data for name, p in model.named_parameters()}
-    targets.update(model.named_buffers())
+    targets = dict(model.named_arrays())
     for name, arr in blobs.items():
         target = targets.pop(name, None)
         if target is None:

@@ -9,6 +9,11 @@ the way out. Forward behaviour depends on ``mode``:
   frozen  batch statistics, no state updates, no dropout
   infer   running statistics, no dropout
 
+A backward rule returns a gradient for each input of its node, and
+tensor.backward drops those whose input needs none. On a tape, every layer
+the model runs gets an input that needs a gradient, except a stream's first
+Conv3D, so only Conv3D leaves out its input gradient when none is needed.
+
 Batch statistics need a batch, so a stack refuses one unbatched sample in
 train and frozen mode before any layer runs. Only train mode moves the
 running statistics, and no layer keeps anything between calls. Frozen and
@@ -356,12 +361,9 @@ class PReLU(Layer):
         neg = x_data < 0
         scale = np.where(neg, a, a.dtype.type(1))   # dy/dx: the slope, or 1
         out_data = x_data * scale
-        need_x = x.requires_grad
 
         def bw(g):
-            gx = g * scale if need_x else None
-            ga = (g * x_data * neg).reshape(-1, self.channels).sum(axis=0)
-            return (gx, ga)
+            return (g * scale, (g * x_data * neg).reshape(-1, self.channels).sum(axis=0))
 
         return op_result(out_data, (x, self.slope), bw)
 
@@ -397,13 +399,9 @@ class Dense(Layer):
         if xb.data.ndim != 2 or xb.data.shape[1] != self.in_features:
             raise ShapeError(f"{self.name}: expected [*, {self.in_features}], got {x.data.shape}")
         x_data, w_data = xb.data, self.weights.data
-        need_x = xb.requires_grad
 
         def bw(g):
-            gx = g @ w_data.T if need_x else None
-            gw = x_data.T @ g
-            gb = g.sum(axis=0)
-            return (gx, gw, gb)
+            return (g @ w_data.T, x_data.T @ g, g.sum(axis=0))
 
         out = op_result(x_data @ w_data + self.bias.data, (xb, self.weights, self.bias), bw)
         return out.reshape((-1,)) if single else out
@@ -482,13 +480,10 @@ class BatchNorm(Layer):
         use_batch_stats = mode in ("train", "frozen")
         m = y.size // self.channels
         axes = tuple(range(x_hat.ndim - 1))
-        need_y = conv is not None or xb.requires_grad
 
         def bw(g):
             gg = (g * x_hat).sum(axis=axes)
             gb = g.sum(axis=axes)
-            if not need_y:
-                return (None, gg, gb)
             gs = g * gamma
             if use_batch_stats:
                 # mean and var both depend on y:
@@ -640,16 +635,12 @@ class LayerStack:
             shapes.append((layer.name, tuple(int(s) for s in x.data.shape)))
         return shapes, x
 
+    def _named(self, kind):
+        return [(f"{self.name}.{name}", value)
+                for layer in self.layers for name, value in getattr(layer, kind)()]
+
     def parameters(self):
-        out = []
-        for layer in self.layers:
-            for pname, p in layer.parameters():
-                out.append((f"{self.name}.{pname}", p))
-        return out
+        return self._named("parameters")
 
     def buffers(self):
-        out = []
-        for layer in self.layers:
-            for bname, b in layer.buffers():
-                out.append((f"{self.name}.{bname}", b))
-        return out
+        return self._named("buffers")

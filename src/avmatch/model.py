@@ -151,16 +151,18 @@ class CoupledModel:
         x = cube if part == "head" else self._input(cube, "audio")
         return self.audio_net.forward(x, mode=mode, rng=rng, part=part)
 
-    def non_finite_source(self, speech, visual) -> str:
-        """Where a batch's non-finite frozen distances come from: the first
-        non-finite parameter, else the first layer whose frozen output is."""
+    def non_finite_source(self, speech, visual, mode="frozen") -> str:
+        """Where a batch's non-finite distances under ``mode`` come from: the
+        first non-finite parameter, else the first layer whose output under
+        ``mode`` is. Each layer's output is held whole, so the training step
+        passes its batch and scoring one pair."""
         for name, p in self.named_parameters():
             if not np.isfinite(p.data).all():
                 return f"parameter {name} is non-finite"
         for net, x in ((self.visual_net, self._input(visual, "visual")),
                        (self.audio_net, self._input(speech, "audio"))):
             for layer in net.layers:
-                x = layer.forward(x, mode="frozen")
+                x = layer.forward(x, mode=mode)
                 if not np.isfinite(x.data).all():
                     return f"parameters are finite; {net.name}.{layer.name} output is not"
         return "parameters and every layer output are finite"
@@ -170,6 +172,11 @@ class CoupledModel:
 
     def named_buffers(self):
         return self.visual_net.buffers() + self.audio_net.buffers()
+
+    def named_arrays(self):
+        """(name, array) for each parameter's data, then each buffer: the
+        state that a checkpoint stores and state_checksum digests, in order."""
+        return [(name, p.data) for name, p in self.named_parameters()] + self.named_buffers()
 
     def parameters(self):
         return [p for _, p in self.named_parameters()]
@@ -204,12 +211,9 @@ class CoupledModel:
     def state_checksum(self) -> bytes:
         """Digest over parameter and buffer bytes, for no-mutation assertions."""
         h = hashlib.sha256()
-        for name, p in self.named_parameters():
+        for name, arr in self.named_arrays():
             h.update(name.encode())
-            h.update(np.ascontiguousarray(p.data).tobytes())
-        for name, b in self.named_buffers():
-            h.update(name.encode())
-            h.update(np.ascontiguousarray(b).tobytes())
+            h.update(np.ascontiguousarray(arr).tobytes())
         return h.digest()
 
 

@@ -6,6 +6,10 @@ tape (define-by-run); ``backward`` replays the tape in reverse and accumulates
 into ``Tensor.grad``. Tapes are cheap throwaway objects, one per optimizer
 step, and a tape is consumed by its backward: each node, and the gradient of
 its output, is let go as soon as its rule has run.
+
+The ops are those the model, its loss and the gradient checks use: +, - and
+* with a tensor of the same shape or a plain number, maximum with a scalar,
+sqrt, sum, reshape and matmul. Shape and dtype are read from ``data``.
 """
 
 from __future__ import annotations
@@ -18,29 +22,17 @@ FLOAT_DTYPES = (np.float32, np.float64)
 
 
 class Tensor:
-    """N-dimensional value with shape metadata and an optional gradient slot."""
+    """A float array, ``data``, with an optional gradient slot."""
 
     __slots__ = ("data", "requires_grad", "grad")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data)
         if arr.dtype not in FLOAT_DTYPES:
             arr = arr.astype(np.float64)
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    @property
-    def size(self):
-        return self.data.size
 
     def item(self) -> float:
         return float(self.data)
@@ -53,8 +45,6 @@ class Tensor:
     def __add__(self, other):
         inputs, b = _operand(self, other)
         return op_result(self.data + b, inputs, lambda g: (g, g))
-
-    __radd__ = __add__
 
     def __sub__(self, other):
         inputs, b = _operand(self, other)
@@ -74,14 +64,6 @@ class Tensor:
 
         return op_result(a * b, inputs, bw)
 
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * -1.0
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def maximum(self, floor: float) -> "Tensor":
         """Elementwise max with a scalar. Gradient flows only where x > floor."""
         x_data = self.data
@@ -89,7 +71,7 @@ class Tensor:
         def bw(g):
             return (g * (x_data > floor),)
 
-        return op_result(np.maximum(x_data, self.dtype.type(floor)), (self,), bw)
+        return op_result(np.maximum(x_data, x_data.dtype.type(floor)), (self,), bw)
 
     def sqrt(self) -> "Tensor":
         out_data = np.sqrt(self.data)
@@ -115,9 +97,6 @@ class Tensor:
             return (np.broadcast_to(g, shape).copy(),)
 
         return op_result(out_data, (self,), bw)
-
-    def mean(self) -> "Tensor":
-        return self.sum() * (1.0 / self.data.size)
 
     def reshape(self, shape) -> "Tensor":
         orig = self.data.shape
@@ -174,7 +153,7 @@ def _operand(a: Tensor, b):
     """(inputs, value) for a second operand: a tensor of a's exact shape, or a
     plain number taken as a scalar of a's dtype (no general broadcasting)."""
     if not isinstance(b, Tensor):
-        return (a,), a.dtype.type(b)
+        return (a,), a.data.dtype.type(b)
     if a.data.shape != b.data.shape:
         raise ShapeError(f"elementwise shape mismatch: {a.data.shape} vs {b.data.shape}")
     return (a, b), b.data

@@ -203,12 +203,23 @@ def scores(model: CoupledModel, data: PackedPairs):
     distinct; its eval_ms_per_pair fell from 28.7 to 14.4 ms (medians of ten
     seeds, 2-vCPU host, one BLAS thread) against embedding every pair in
     batches of 64.
+
+    A non-finite distance is a DataError that names the first such pair and
+    where its distance turns non-finite: ``non_finite_source`` on that pair
+    alone, in infer mode, since a layer-by-layer pass over the whole set
+    would hold every layer's output for every window at once.
     """
     if not len(data):
         return np.empty(0), data.labels
     ev = _embed_distinct(model.embed_visual, data.visual)
     ea = _embed_distinct(model.embed_audio, data.speech)
-    return batch_distances(Tensor(ev), Tensor(ea)).data.astype(np.float64), data.labels
+    d = batch_distances(Tensor(ev), Tensor(ea)).data.astype(np.float64)
+    bad = np.flatnonzero(~np.isfinite(d))
+    if len(bad):
+        one = slice(bad[0], bad[0] + 1)
+        source = model.non_finite_source(data.speech[one], data.visual[one], mode="infer")
+        raise DataError(f"pair {bad[0]}: non-finite distance; {source}")
+    return d, data.labels
 
 
 def train_epoch(model: CoupledModel, data: PackedPairs, cfg: TrainConfig,

@@ -16,12 +16,14 @@ with one BLAS thread.
 
 import hashlib
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from avmatch.io import save_checkpoint
 from avmatch.model import CoupledModel, ModelConfig, batch_distances, contrastive_loss
 from avmatch.pairs import SelectionConfig
 from avmatch.tensor import Tape, backward
@@ -87,6 +89,12 @@ def main():
         show(f"fit {optimizer} history", digest(repr(result.history).encode()))
         show(f"fit {optimizer} state_checksum", digest(model.state_checksum()))
         show(f"fit {optimizer} infer scores", digest(scores(model, data)[0]))
+        if optimizer == "sgdm":
+            # the file format: the names, order and bytes of the stored state
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / "model.avck"
+                save_checkpoint(path, model)
+                show("fit sgdm checkpoint bytes", digest(path.read_bytes()))
 
     # 12 pairs at batch 3 with a tiny eta0: the first epoch skips one update
     # and drops pairs in two steps, so each puts back the running statistics

@@ -436,6 +436,21 @@ class TestUsageErrors:
                    "--out-dir", str(tmp_path / "eval")])
         assert rc == EXIT_DATA
 
+    def test_eval_names_the_pair_and_layer_of_a_non_finite_distance(self, corpus, tmp_path,
+                                                                    capsys):
+        # a finite checkpoint whose visual fc6 output overflows float32
+        model = CoupledModel(ModelConfig(zeta=8, seed=0))
+        next(layer for layer in model.visual_net.layers
+             if layer.name == "fc6").weights.data[...] = 3e37
+        ckpt = tmp_path / "big.avck"
+        avio.save_checkpoint(ckpt, model)
+        rc = main(["eval", "--ckpt", str(ckpt), "--manifest", str(corpus),
+                   "--out-dir", str(tmp_path / "eval")])
+        assert rc == EXIT_DATA
+        assert capsys.readouterr().err == ("avmatch: pair 0: non-finite distance; "
+                                           "parameters are finite; visual.fc6 output is not\n")
+        assert not (tmp_path / "eval").exists()
+
 
 @pytest.fixture(scope="module")
 def trained(corpus, tmp_path_factory):
@@ -553,6 +568,13 @@ class TestMalformedValues:
         rc = main(["crossval", "--manifest", str(tmp_path / "missing.csv"), "--grid", grid,
                    "--out", str(tmp_path / "cv.json")])
         assert rc == EXIT_USAGE
+
+    def test_repeated_grid_axis_is_usage_error_before_the_manifest_is_read(self, tmp_path,
+                                                                           capsys):
+        rc = main(["crossval", "--manifest", str(tmp_path / "missing.csv"),
+                   "--grid", "mu=1;mu=2,3", "--out", str(tmp_path / "cv.json")])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == "avmatch: grid axis 'mu' given twice\n"
 
     def test_integer_grid_axis_trains_that_value(self, corpus, tmp_path):
         out = tmp_path / "cv.json"

@@ -429,6 +429,24 @@ class TestScores:
         d, y = scores(build_mini_model(), data.subset(np.zeros(len(data), bool)))
         assert d.shape == (0,) and y.shape == (0,)
 
+    def test_non_finite_distance_names_the_first_pair_and_its_layer(self, monkeypatch):
+        data = repeated_cubes(np.arange(6), np.arange(6))
+        data.visual[[3, 5], 0, 0, 0, 0] = np.inf
+        model = build_mini_model()
+        calls = []
+        diagnose = model.non_finite_source
+
+        def recording(speech, visual, mode="frozen"):
+            calls.append((len(speech), len(visual), mode))
+            return diagnose(speech, visual, mode)
+
+        monkeypatch.setattr(model, "non_finite_source", recording)
+        with pytest.raises(DataError, match=r"^pair 3: non-finite distance; parameters are "
+                                            r"finite; visual\.conv1 output is not$"), \
+                np.errstate(invalid="ignore"):
+            scores(model, data)
+        assert calls == [(1, 1, "infer")]   # the one pair, with running statistics
+
 
 class _StubModel:
     """Embeds the first 3 values of each cube; distances fully determined by data."""
