@@ -22,26 +22,30 @@ first Dropout, its *trunk*; the rest is its *head*.
 
 A LayerStack runs a BatchNorm -> PReLU -> MaxPool3D run pooled first, in
 every mode, while every channel has gamma > 0 and a slope >= 0: the batch
-norm, given the pool, takes its statistics from the whole input but
-normalises only the input's window maxima, and the PReLU activates that
-pooled tensor. Per channel, f = PReLU(gamma * (x - mean) / std + beta) is
-then non-decreasing, so a window's maximum of f is f of the window's maximum
-of x; rounding is monotone too, so this holds bit for bit. A run with any
-other channel goes through its three layers as written. Tie rule: where two
+norm, given the pool and the PReLU, takes its statistics from the whole
+input but normalises and activates only the input's window maxima, as one
+tape node. Per channel, f = PReLU(gamma * (x - mean) / std + beta) is then
+non-decreasing, so a window's maximum of f is f of the window's maximum of
+x; rounding is monotone too, so this holds bit for bit. A run with any other
+channel goes through its three layers as written. Tie rule: where two
 elements of a window tie only after f (a zero slope sends every negative
 input to 0), the gradient goes to the larger input, and among equal inputs
 to the first in window order. LayerStack.trace runs the layers one by one,
 as written.
 
+The pooled node keeps only the window maxima and its output. Its backward
+recomputes the rest one sample at a time with the forward's own ops, and
+takes its sums as running row sums, so its gradients keep the bits of a
+batch norm node given the pool followed by a PReLU node (see BatchNorm).
+
 Where such a run follows a Conv3D whose input needs no gradient (each
-stream's conv1), the stack gives the conv to the batch norm too, and one tape
-node stands for conv -> batch norm. Its forward builds the conv output in the
-conv's chunks, takes the statistics from it, keeps only its window maxima
-and lets it go; its backward rebuilds each chunk's columns and conv output
-with the forward's GEMM, so with its bits, writes the batch norm's input
-gradient over that chunk and adds the chunk's conv gradients. So the conv
-output, a training step's largest array, never stays on the tape, and the
-gradients keep the bits of the two nodes (see BatchNorm).
+stream's conv1), the stack gives the conv to the batch norm too, and the one
+node stands for the whole block. The conv output, a training step's largest
+array, is never whole: the forward builds it a conv chunk at a time, pools
+each chunk and lets it go, and builds each chunk again for the variance;
+the backward rebuilds each chunk's columns and conv output with the
+forward's GEMM, so with its bits, writes the batch norm's input gradient
+over that chunk and adds the chunk's conv gradients.
 """
 
 from __future__ import annotations
@@ -115,6 +119,18 @@ def _pool(data, slices):
         for index in slices[1:]:
             np.maximum(one, sample[index], out=one)
     return out
+
+
+def _row_sum(total, buf, k):
+    """total plus the sum of the k rows buf[1:1 + k] of a [rows, C] buffer,
+    the sum so far entering as the leading row buf[0] (the rows alone when
+    total is None). numpy reduces the leading axis in row order when C > 1,
+    so a running row sum over chunks has the bits of one sum over all rows.
+    (One channel is summed pairwise, and its bits differ in the last places.)"""
+    if total is None:
+        return buf[1:1 + k].sum(axis=0)
+    buf[0] = total
+    return buf[:1 + k].sum(axis=0)
 
 
 def _first_hits(data, pooled, slices):
@@ -265,10 +281,7 @@ class Conv3D(Layer):
         ``fill(chunk, cols, g)`` writes the chunk's output gradient rows into
         g, given its im2col rows cols. The kernel gradient adds cols.T @ g,
         padded to GK_ROWS. The bias gradient is a running sum over rows, the
-        sum so far entering each chunk's as a leading row: numpy reduces the
-        leading axis of a [rows, out_ch] array in row order when out_ch > 1,
-        so that has the bits of one sum over all rows. (One output channel
-        is summed pairwise, and its bits differ in the last places.)"""
+        sum so far entering each chunk's as a leading row (``_row_sum``)."""
         rows = int(np.prod(extents))
         padded = -(-(chunks[0].stop - chunks[0].start) * rows // GK_ROWS) * GK_ROWS
         cols_buf = np.empty(padded * self.kernels.data[0].size, dtype=x_data.dtype)
@@ -282,11 +295,7 @@ class Conv3D(Layer):
             g[m:] = 0
             part = cols.T @ g
             gk = part if gk is None else gk + part
-            if gb is None:
-                gb = g[:m].sum(axis=0)
-            else:
-                g_buf[0] = gb
-                gb = g_buf[:1 + m].sum(axis=0)
+            gb = _row_sum(gb, g_buf, m)
         return gk.T.reshape(self.kernels.data.shape), gb
 
     def forward(self, x: Tensor, mode="infer", rng=None) -> Tensor:
@@ -413,20 +422,33 @@ class Dense(Layer):
 class BatchNorm(Layer):
     """Per-channel batch normalization with running statistics for inference.
 
+    Batch statistics are running row sums (``_row_sum``) over chunks of the
+    tensor to normalise, a plain input's one sample at a time, each chunk
+    copied into a buffer behind the sum so far. So neither the mean nor the
+    variance builds a temporary of the input's size, and both keep the bits
+    of numpy's whole-batch mean and var.
+
     With ``pool``, the MaxPool3D that ends a BatchNorm -> PReLU -> MaxPool3D
     run, ``forward`` takes the statistics from all of x but normalises only
-    the window maxima of x (see the module notes).
+    sel, the window maxima of x (see the module notes); with ``prelu`` too,
+    the run's PReLU, the same node activates them. A pooled node keeps only
+    sel and its output. Its backward recomputes, one sample at a time, the
+    normalised maxima, the PReLU's input, its signs and its scales from sel
+    with the forward's own ops, so with their bits, and takes the gamma,
+    beta and slope gradients and the batch norm's two sums over the pooled
+    positions as running row sums over samples.
 
     With ``conv`` as well, the Conv3D before the run, x is the conv's input
     and must need no gradient: the batch norm normalises the conv's output,
-    built in the conv's chunks and let go once pooled, and its one tape node
-    takes x, the conv's kernels and bias, gamma and beta. Its backward
-    rebuilds one chunk of the conv output at a time, overwrites it with the
-    batch norm's input gradient and adds the chunk's kernel and bias
-    gradients (Conv3D._param_grads). The statistics and the rebuilt output
-    have the bits of the conv node's output, and the kernel and bias
-    gradients those of its backward: the same padded chunks, and a bias
-    running sum that numpy reduces in row order.
+    which is never whole. The forward builds it a conv chunk at a time,
+    pools each chunk into sel and adds its rows to the mean; with batch
+    statistics it builds each chunk again for the squared deviations. The
+    node takes x, the conv's kernels and bias, gamma, beta and the slope.
+    Its backward rebuilds one chunk of the conv output at a time, overwrites
+    it with the batch norm's input gradient and adds the chunk's kernel and
+    bias gradients (Conv3D._param_grads). Every rebuilt chunk has the bits
+    of the conv node's output, and the kernel and bias gradients those of
+    its backward: the same padded chunks, and a bias running sum.
     """
 
     def __init__(self, channels, dtype=np.float64, name="bn"):
@@ -437,72 +459,150 @@ class BatchNorm(Layer):
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
 
-    def _moments(self, x_data: np.ndarray, mode: str):
+    def _moments(self, mode, walk, m, first=None):
         """(mean, 1 / std) under ``mode``'s statistics; train mode moves the
-        running statistics toward the batch's."""
-        if x_data.shape[-1] != self.channels:
-            raise ShapeError(f"{self.name}: expected {self.channels} channels, got {x_data.shape[-1]}")
-        if mode not in ("train", "frozen"):
+        running statistics toward the batch's.
+
+        walk() yields (chunk, buf, k) for each chunk of the tensor to
+        normalise, m rows in all, the chunk's k rows [k, C] written into
+        buf[1:1 + k]. The mean takes one walk and the variance a second, and
+        each divides its sum as numpy's mean does; first(chunk, rows), where
+        given, sees each chunk's rows on the first walk, which then runs in
+        every mode."""
+        batch = mode in ("train", "frozen")
+        total = None
+        if batch or first is not None:
+            for chunk, buf, k in walk():
+                if first is not None:
+                    first(chunk, buf[1:1 + k])
+                if batch:
+                    total = _row_sum(total, buf, k)
+        if not batch:
             return self.running_mean, 1.0 / np.sqrt(self.running_var + BN_EPSILON)
-        if x_data.ndim < 2 or x_data.shape[0] < 2:
-            raise ContractError(f"{self.name}: batch statistics need a batch of >= 2")
-        axes = tuple(range(x_data.ndim - 1))
-        mean = x_data.mean(axis=axes)
-        squares = x_data - mean
-        var = np.square(squares, out=squares).mean(axis=axes)   # the bits of x_data.var(axis=axes)
+        mean = np.true_divide(total, np.intp(m), out=total, casting="unsafe")
+        total = None
+        for _, buf, k in walk():
+            rows = buf[1:1 + k]
+            np.subtract(rows, mean, out=rows)
+            np.square(rows, out=rows)
+            total = _row_sum(total, buf, k)
+        var = np.true_divide(total, np.intp(m), out=total, casting="unsafe")
         if mode == "train":
             self.running_mean += BN_MOMENTUM * (mean - self.running_mean)
             self.running_var += BN_MOMENTUM * (var - self.running_var)
         return mean, 1.0 / np.sqrt(var + BN_EPSILON)
 
-    def forward(self, x: Tensor, mode="infer", rng=None, pool=None, conv=None) -> Tensor:
+    def forward(self, x: Tensor, mode="infer", rng=None, pool=None, conv=None,
+                prelu=None) -> Tensor:
+        if pool is None and (conv is not None or prelu is not None):
+            raise ContractError(f"{self.name}: given a conv or a PReLU, it needs a pool")
         xb, squeeze = (x, False) if pool is None else _batched(x)
-        x_data = y = xb.data   # the node's input, and the tensor to normalise
-        if conv is not None:
-            if pool is None or xb.requires_grad:
-                raise ContractError(f"{self.name}: given a conv, it needs a pool and an input "
-                                    "that needs no gradient")
-            conv_extents, chunks = conv._chunks(x_data)
-            y = conv._output(x_data, conv_extents, chunks)
-        mean, inv_std = self._moments(y, mode)
-        sel = y
-        if pool is not None:
-            extents = _valid_extents(pool, y.shape[1:4])
-            slices = [index for _, index in _window_slices(pool.kernel, pool.stride, extents)]
-            # x - mean rounds monotonically in x, so centring the window
-            # maxima of x gives the maxima of the centred input
-            sel = _pool(y, slices)
-        x_hat = sel - mean
-        x_hat *= inv_std
-        gamma = self.gamma.data
-        out_data = x_hat * gamma
-        out_data += self.beta.data
+        x_data = xb.data
+        if conv is not None and xb.requires_grad:
+            raise ContractError(f"{self.name}: given a conv, it needs an input that needs "
+                                "no gradient")
+        if conv is None:   # one sample to a chunk
+            channels, dtype, spatial = x_data.shape[-1], x_data.dtype, x_data.shape[1:4]
+            chunks = [slice(n, n + 1) for n in range(len(x_data))]
+        else:
+            spatial, chunks = conv._chunks(x_data)
+            channels, dtype = conv.out_ch, np.result_type(x_data, conv.kernels.data)
+        for layer in (self, prelu or self):
+            if channels != layer.channels:
+                raise ShapeError(f"{layer.name}: expected {layer.channels} channels, "
+                                 f"got {channels}")
         use_batch_stats = mode in ("train", "frozen")
-        m = y.size // self.channels
-        axes = tuple(range(x_hat.ndim - 1))
+        if use_batch_stats and (x_data.ndim < 2 or len(x_data) < 2):
+            raise ContractError(f"{self.name}: batch statistics need a batch of >= 2")
+        rows = x_data[:1].size // channels if conv is None else int(np.prod(spatial))
+        m = len(x_data) * rows
+
+        def walk():
+            per = chunks[0].stop - chunks[0].start
+            buf = np.empty((1 + per * rows, channels), dtype=dtype)
+            if conv is not None:
+                cols = np.empty(per * rows * conv.kernels.data[0].size, dtype=x_data.dtype)
+            for chunk in chunks:
+                k = (chunk.stop - chunk.start) * rows
+                if conv is None:
+                    np.copyto(buf[1:1 + k], x_data[chunk].reshape(k, channels))
+                else:
+                    conv._rows(conv._columns(x_data[chunk], cols, spatial), buf[1:1 + k])
+                yield chunk, buf, k
+
+        if pool is None:
+            mean, inv_std = self._moments(mode, walk, m)
+            return self._plain(xb, mean, inv_std, m, use_batch_stats)
+
+        extents = _valid_extents(pool, spatial)
+        slices = [index for _, index in _window_slices(pool.kernel, pool.stride, extents)]
+        # x - mean rounds monotonically in x, so centring the window maxima
+        # of x gives the maxima of the centred input
+        if conv is None:
+            sel = _pool(x_data, slices)
+        else:
+            sel = np.empty((len(x_data),) + extents + (channels,), dtype=dtype)
+
+        def pool_chunk(chunk, chunk_rows):
+            shape = (chunk.stop - chunk.start,) + spatial + (channels,)
+            sel[chunk] = _pool(chunk_rows.reshape(shape), slices)
+
+        mean, inv_std = self._moments(mode, walk, m, None if conv is None else pool_chunk)
+        gamma, beta = self.gamma.data, self.beta.data
+        # without a PReLU, a unit slope: y * 1 and g * 1 are y and g
+        slope = np.ones_like(gamma) if prelu is None else prelu.slope.data
+
+        def activate(s):
+            """(normalised s, the batch norm's output, its signs, the PReLU's
+            dy/dx: the slope or 1) for window maxima s."""
+            x_hat = s - mean
+            x_hat *= inv_std
+            y = x_hat * gamma
+            y += beta
+            neg = y < 0
+            return x_hat, y, neg, np.where(neg, slope, slope.dtype.type(1))
+
+        # a sample at a time, so that no temporary is larger than a sample
+        out_data = np.empty(sel.shape, dtype=np.result_type(sel, mean, inv_std, gamma, beta,
+                                                            slope))
+        for n in range(len(sel)):
+            _, y, _, scale = activate(sel[n])
+            out_data[n] = y * scale
 
         def bw(g):
-            gg = (g * x_hat).sum(axis=axes)
-            gb = g.sum(axis=axes)
-            gs = g * gamma
-            if use_batch_stats:
-                # mean and var both depend on y:
-                # inv_std * (g * gamma - (t1 + x_hat * t2) / m)
-                t1 = gs.sum(axis=axes)
-                t2 = (gs * x_hat).sum(axis=axes)
-            if pool is None:
-                gx = inv_std * (gs - (t1 + x_hat * t2) / m) if use_batch_stats else gs * inv_std
-                return (gx, gg, gb)
+            r = sel[0].size // channels
+            # [1 + r, C]: the sum so far, then a sample's rows (see _row_sum)
+            buf, gy_buf = (np.empty((1 + r, channels), dtype=out_data.dtype) for _ in range(2))
+            part, gy = (b[1:].reshape(sel.shape[1:]) for b in (buf, gy_buf))
+            gs = np.empty_like(out_data)   # g * scale * gamma * inv_std
+            gg = gb = ga = t1 = t2 = None
+            for n in range(len(sel)):
+                x_hat, y, neg, scale = activate(sel[n])
+                np.multiply(g[n], y, out=part)
+                part *= neg
+                ga = _row_sum(ga, buf, r)
+                np.multiply(g[n], scale, out=gy)
+                gb = _row_sum(gb, gy_buf, r)
+                np.multiply(gy, x_hat, out=part)
+                gg = _row_sum(gg, buf, r)
+                gy *= gamma
+                if use_batch_stats:
+                    # mean and var both depend on the input:
+                    # inv_std * (gs - (t1 + x_hat * t2) / m)
+                    t1 = _row_sum(t1, gy_buf, r)
+                    np.multiply(gy, x_hat, out=part)
+                    t2 = _row_sum(t2, buf, r)
+                np.multiply(gy, inv_std, out=gs[n])
+            grads = (gg, gb, ga)   # backward drops ga without a PReLU
             if use_batch_stats:
                 # -inv_std * (t1 + x_hat * t2) / m at every input, as
                 # a * (y - mean) + b; t1 and t2 sum over the pooled
                 # positions, the only ones that carry a gradient
                 a, b = inv_std * inv_std * t2 / -m, inv_std * t1 / -m
-            gs *= inv_std
 
             def spread(y_part, part, gy):
                 """Write into gy the gradient at y_part, the samples ``part``
-                of y; gy may be y_part itself."""
+                of the input; gy may be y_part itself."""
                 first = _first_hits(y_part, sel[part], slices)
                 if use_batch_stats:
                     np.subtract(y_part, mean, out=gy)
@@ -519,20 +619,44 @@ class BatchNorm(Layer):
                 for n in range(len(gx)):
                     one = slice(n, n + 1)
                     spread(x_data[one], one, gx[one])
-                return (gx, gg, gb)
+                return (gx,) + grads
 
             def fill(chunk, cols, g_rows):
                 # the chunk's conv output again, overwritten by its gradient
                 conv._rows(cols, g_rows)
-                y_part = g_rows.reshape((chunk.stop - chunk.start,) + conv_extents + (self.channels,))
+                y_part = g_rows.reshape((chunk.stop - chunk.start,) + spatial + (channels,))
                 spread(y_part, chunk, y_part)
 
-            return (None,) + conv._param_grads(x_data, conv_extents, chunks, fill) + (gg, gb)
+            return (None,) + conv._param_grads(x_data, spatial, chunks, fill) + grads
 
-        params = (self.gamma, self.beta) if conv is None else (
-            conv.kernels, conv.bias, self.gamma, self.beta)
+        params = (self.gamma, self.beta) + (() if prelu is None else (prelu.slope,))
+        if conv is not None:
+            params = (conv.kernels, conv.bias) + params
         out = op_result(out_data, (xb,) + params, bw)
         return out.reshape(out.data.shape[1:]) if squeeze else out
+
+    def _plain(self, x, mean, inv_std, m, use_batch_stats):
+        """The node that normalises all of x."""
+        x_hat = x.data - mean
+        x_hat *= inv_std
+        gamma = self.gamma.data
+        out_data = x_hat * gamma
+        out_data += self.beta.data
+        axes = tuple(range(x_hat.ndim - 1))
+
+        def bw(g):
+            gg = (g * x_hat).sum(axis=axes)
+            gb = g.sum(axis=axes)
+            gs = g * gamma
+            if not use_batch_stats:
+                return (gs * inv_std, gg, gb)
+            # mean and var both depend on x:
+            # inv_std * (g * gamma - (t1 + x_hat * t2) / m)
+            t1 = gs.sum(axis=axes)
+            t2 = (gs * x_hat).sum(axis=axes)
+            return (inv_std * (gs - (t1 + x_hat * t2) / m), gg, gb)
+
+        return op_result(out_data, (x, self.gamma, self.beta), bw)
 
     def parameters(self):
         return [(f"{self.name}.gamma", self.gamma), (f"{self.name}.beta", self.beta)]
@@ -584,10 +708,10 @@ class LayerStack:
     """Named sequence of layers applied in order.
 
     ``forward`` runs a BatchNorm -> PReLU -> MaxPool3D run as the batch norm
-    given the pool, then the PReLU, while every channel has gamma > 0 and a
-    slope >= 0, checked at each call since training moves both; the batch
-    norm is given the Conv3D before the run too when the conv's input needs
-    no gradient. Any other run, and ``trace``, go through the layers as
+    given the pool and the PReLU, one node, while every channel has gamma > 0
+    and a slope >= 0, checked at each call since training moves both; the
+    batch norm is given the Conv3D before the run too when the conv's input
+    needs no gradient. Any other run, and ``trace``, go through the layers as
     written. All give the same values. The stack's trunk is its layers
     before the first Dropout (all of them when it has none), its head the
     rest; see the module notes.
@@ -620,8 +744,7 @@ class LayerStack:
                     if conv is not None and x.requires_grad:
                         # the fused node takes no input gradient
                         x, conv = conv.forward(x, mode=mode, rng=rng), None
-                    x = prelu.forward(bn.forward(x, mode=mode, pool=pool, conv=conv),
-                                      mode=mode, rng=rng)
+                    x = bn.forward(x, mode=mode, pool=pool, conv=conv, prelu=prelu)
                     continue
             for layer in run:
                 x = layer.forward(x, mode=mode, rng=rng)

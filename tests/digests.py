@@ -10,8 +10,9 @@ both commits under the same BLAS thread count, for example
     OPENBLAS_NUM_THREADS=1 python tests/digests.py | diff parent.txt -
 
 Each run imports the ``src`` next to its own ``tests`` directory. Pytest
-does not collect this file. It takes about 10 s and 0.5 GB on a 2-vCPU host
-with one BLAS thread.
+does not collect this file. It takes about 12 s and 0.5 GB on a 2-vCPU host
+with one BLAS thread. The float32 lines are the same under one and two BLAS
+threads; the two float64 lines are not, on either commit.
 """
 
 import hashlib
@@ -63,7 +64,7 @@ def gradients(model, data, mode) -> str:
 
 
 def show(label, hexdigest):
-    print(f"{label:32s}{hexdigest}")
+    print(f"{label:34s}{hexdigest}")
 
 
 def layer(net, name):
@@ -105,6 +106,13 @@ def main():
     assert result.history[0].steps < 4 and result.history[0].selection_rate < 1
     show("fit selecting history", digest(repr(result.history).encode()))
     show("fit selecting state_checksum", digest(model.state_checksum()))
+
+    # float64, as perfbench's gradient check and ``--dtype float64`` run it:
+    # twice the bytes per element, so the convs take other column chunks
+    model = CoupledModel(ModelConfig(seed=0, dtype="float64"))
+    data = pairs(8, 4)
+    show("float64 train step N=8 gradients", gradients(model, data, "train"))
+    show("float64 infer scores", digest(scores(model, data)[0]))
 
     # a negative gamma and a negative slope: those blocks run as written
     model = CoupledModel(ModelConfig(seed=0))

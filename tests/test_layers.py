@@ -821,13 +821,13 @@ class TestPooledBlock:
 
     def test_flipping_a_gamma_between_calls_switches_the_path(self):
         # the stack checks gamma and slope at each call: pooled first records
-        # the batch norm given the pool and the PReLU, the layers as written
-        # record three nodes
+        # one node, the batch norm given the pool and the PReLU; the layers
+        # as written record three
         x = block_input("ties", np.float64, channels=3)
         gammas, slopes = np.array([1.3, 0.4, 0.9]), np.array([0.25, 0.0, 1.0])
         layers = pooled_block(np.float64, "overlapping", gammas, slopes)
         stack = LayerStack("s", pooled_block(np.float64, "overlapping", gammas, slopes))
-        for gamma, nodes in ((0.4, 2), (-0.4, 3), (0.4, 2)):
+        for gamma, nodes in ((0.4, 1), (-0.4, 3), (0.4, 1)):
             layers[0].gamma.data[1] = stack.layers[0].gamma.data[1] = gamma
             xt = Tensor(x, requires_grad=True)
             with Tape() as tape:
@@ -836,6 +836,23 @@ class TestPooledBlock:
             assert_same_bits(got, run_block(layers, x, "train")[0])
             for mine, theirs in zip(stack.layers[0].buffers(), layers[0].buffers()):
                 assert_same_bits(mine[1], theirs[1])
+
+    def test_tape_keeps_only_the_window_maxima_and_the_output(self):
+        # visual block 2's channels: the node keeps its input, the window
+        # maxima and its output, and no normalised values, signs or scales
+        stack = LayerStack("s", pooled_block(np.float32, "overlapping", np.full(32, 0.9),
+                                             np.full(32, 0.25)))
+        tracemalloc.start()
+        try:
+            x = Tensor(np.random.default_rng(18).standard_normal((4, 5, 26, 46, 32))
+                       .astype(np.float32), requires_grad=True)
+            with Tape() as tape:
+                out = stack.forward(x, mode="frozen")
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 1.1 * (x.data.nbytes + 2 * out.data.nbytes)
+        assert len(tape) == 1
 
     def test_tie_after_rounding_goes_to_the_larger_centred_value(self):
         # with slope 0 every negative input activates to -0: the layers route
@@ -896,54 +913,63 @@ FIRST_BLOCKS = {
 
 
 def first_block(stream, dtype):
-    """conv1 -> bn1 -> prelu1 -> pool1 at the stream's full size, with
-    seeded conv biases, betas and running statistics, every gamma > 0 and
-    every slope >= 0 (one of them 0)."""
-    extents, kernel, pool_kernel, pool_stride = FIRST_BLOCKS[stream]
+    """conv1 -> bn1 -> prelu1 -> pool1 at the stream's full size (see
+    conv_block)."""
+    _, kernel, pool_kernel, pool_stride = FIRST_BLOCKS[stream]
+    return conv_block(1, 16, kernel, pool_kernel, pool_stride, dtype)
+
+
+def conv_block(in_ch, out_ch, kernel, pool_kernel, pool_stride, dtype):
+    """conv1 -> bn1 -> prelu1 -> pool1 with seeded conv biases, betas and
+    running statistics, every gamma > 0 and every slope >= 0 (one of them 0)."""
     rng = np.random.default_rng(9)
-    conv = Conv3D(1, 16, kernel, seed=9, dtype=dtype, name="conv1")
-    conv.bias.data[:] = rng.standard_normal(16)
-    bn = BatchNorm(16, dtype=dtype, name="bn1")
-    bn.gamma.data[:] = rng.random(16) + 0.5
-    bn.beta.data[:] = rng.standard_normal(16)
-    bn.running_mean[:] = rng.standard_normal(16)
-    bn.running_var[:] = rng.random(16) + 0.5
-    prelu = PReLU(16, dtype=dtype, name="prelu1")
-    prelu.slope.data[:] = rng.random(16) / 2
+    conv = Conv3D(in_ch, out_ch, kernel, seed=9, dtype=dtype, name="conv1")
+    conv.bias.data[:] = rng.standard_normal(out_ch)
+    bn = BatchNorm(out_ch, dtype=dtype, name="bn1")
+    bn.gamma.data[:] = rng.random(out_ch) + 0.5
+    bn.beta.data[:] = rng.standard_normal(out_ch)
+    bn.running_mean[:] = rng.standard_normal(out_ch)
+    bn.running_var[:] = rng.random(out_ch) + 0.5
+    prelu = PReLU(out_ch, dtype=dtype, name="prelu1")
+    prelu.slope.data[:] = rng.random(out_ch) / 2
     prelu.slope.data[5] = 0.0
     return [conv, bn, prelu, MaxPool3D(pool_kernel, pool_stride, name="pool1")]
 
 
-def run_first_block(block, x, mode, how):
+def run_first_block(block, x, mode, how, x_needs_grad=False):
     """(output, every parameter gradient, tape nodes) of sum(out * g) for a
     seeded g, where ``how`` is "stack" (a LayerStack, which gives the conv
-    to the batch norm), "nodes" (the conv's node, then the batch norm given
-    the pool, then the PReLU) or "layers" (the four layers as written)."""
+    to the batch norm when x needs no gradient), "nodes" (the conv's node,
+    then the batch norm given the pool, then the PReLU) or "layers" (the
+    four layers as written); with ``x_needs_grad``, x's gradient follows
+    the parameters' gradients."""
     conv, bn, prelu, pool = block
     params = [p for layer in block for _, p in layer.parameters()]
     for p in params:
         p.grad = None
+    xt = Tensor(x, requires_grad=x_needs_grad)
     with Tape() as tape:
         if how == "stack":
-            out = LayerStack("s", block).forward(Tensor(x), mode=mode)
+            out = LayerStack("s", block).forward(xt, mode=mode)
         elif how == "nodes":
-            out = prelu.forward(bn.forward(conv.forward(Tensor(x), mode=mode), mode=mode,
+            out = prelu.forward(bn.forward(conv.forward(xt, mode=mode), mode=mode,
                                            pool=pool), mode=mode)
         else:
-            out = Tensor(x)
+            out = xt
             for layer in block:
                 out = layer.forward(out, mode=mode)
         nodes = len(tape)
         g = np.random.default_rng(10).standard_normal(out.data.shape).astype(x.dtype)
         loss = (out * Tensor(g)).sum()
     backward(loss, tape)
-    return out.data, [p.grad for p in params], nodes
+    return out.data, [p.grad for p in params] + [xt.grad] * x_needs_grad, nodes
 
 
 class TestConvNorm:
     """A LayerStack gives a run's leading conv to the batch norm when the
-    conv's input needs no gradient: one tape node for conv -> batch norm,
-    with the bits of the conv's node and the batch norm's."""
+    conv's input needs no gradient: one tape node for conv -> batch norm ->
+    PReLU -> pool, with the bits of the conv's node, the batch norm's given
+    the pool and the PReLU's."""
 
     @pytest.mark.parametrize("mode", ["train", "frozen", "infer"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -958,13 +984,66 @@ class TestConvNorm:
         fused, nodes = first_block(stream, dtype), first_block(stream, dtype)
         out_f, grads_f, count_f = run_first_block(fused, x, mode, "stack")
         out_n, grads_n, count_n = run_first_block(nodes, x, mode, "nodes")
-        assert (count_f, count_n) == (2, 3)
+        assert (count_f, count_n) == (1, 3)
         assert_same_bits(out_f, out_n)
         assert len(grads_f) == 5
         for mine, theirs in zip(grads_f, grads_n):
             assert_same_bits(mine, theirs)
         for (_, mine), (_, theirs) in zip(fused[1].buffers(), nodes[1].buffers()):
             assert_same_bits(mine, theirs)
+
+    @pytest.mark.parametrize("per", [1, 3, 7])   # 7 samples: one-sample, short last, one chunk
+    @pytest.mark.parametrize("mode", ["train", "frozen", "infer"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("block", ["conv1", "block2"])
+    def test_fused_node_has_the_bits_of_a_node_per_layer(self, monkeypatch, block, dtype, mode,
+                                                         per):
+        # visual block 1, whose conv the batch norm is given, and a block at
+        # visual block 2's channel counts whose input needs a gradient, so
+        # that its conv is a node of its own; both at small extents
+        in_ch, out_ch, extents = (1, 16, (5, 12, 20)) if block == "conv1" else (16, 32, (5, 11, 13))
+        x = np.random.default_rng(16).standard_normal((7,) + extents + (in_ch,)).astype(dtype)
+        fused, nodes, fresh = (conv_block(in_ch, out_ch, (3, 3, 3), (1, 3, 3), (1, 2, 2), dtype)
+                               for _ in range(3))
+        rows = int(np.prod([e - 2 for e in extents]))
+        monkeypatch.setattr(layers, "COLS_BYTES", per * rows * 27 * in_ch * np.dtype(dtype).itemsize)
+        assert [c.stop - c.start for c in fused[0]._chunks(x)[1]] == \
+            [per] * (7 // per) + [7 % per] * (7 % per > 0)
+        need_x = block == "block2"
+        out_f, grads_f, count_f = run_first_block(fused, x, mode, "stack", need_x)
+        out_n, grads_n, count_n = run_first_block(nodes, x, mode, "nodes", need_x)
+        assert (count_f, count_n) == (1 + need_x, 3)
+        assert_same_bits(out_f, out_n)
+        assert len(grads_f) == 5 + need_x   # prelu.slope's among them
+        for mine, theirs in zip(grads_f, grads_n):
+            assert_same_bits(mine, theirs)
+        for (_, mine), (_, theirs) in zip(fused[1].buffers(), nodes[1].buffers()):
+            assert_same_bits(mine, theirs)
+        if mode == "train":
+            # and numpy's whole-batch mean and var of the conv node's output
+            y = fresh[0].forward(Tensor(x)).data
+            for (_, mine), (_, before), moment in zip(fused[1].buffers(), fresh[1].buffers(),
+                                                      (y.mean, y.var)):
+                assert_same_bits(mine, before + layers.BN_MOMENTUM * (moment(axis=(0, 1, 2, 3))
+                                                                      - before))
+
+    @pytest.mark.parametrize("mode", ["train", "frozen", "infer"])
+    def test_forward_never_holds_the_whole_conv_output(self, mode):
+        # each chunk of the conv output is built, pooled and let go, and
+        # built again for the variance; the peak, one sample's columns and
+        # conv output and the pooled tensors, stays below the whole output
+        n = 8
+        x = Tensor(np.random.default_rng(17).standard_normal((n,) + VISUAL_INPUT_SHAPE)
+                   .astype(np.float32))
+        stack = LayerStack("visual", first_block("visual", np.float32))
+        tracemalloc.start()
+        try:
+            with Tape():
+                stack.forward(x, mode=mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * 7 * 58 * 98 * 16 * 4
 
     @pytest.mark.parametrize("layer,value", [(1, 0.0), (1, -0.5), (2, -0.25)])
     @pytest.mark.parametrize("mode", ["train", "frozen", "infer"])
@@ -1008,7 +1087,7 @@ class TestConvNorm:
 
         with Tape() as tape:
             build()
-        assert len(tape) == 5   # the fused node, the PReLU, and build's +, * and sum
+        assert len(tape) == 4   # the fused node, and build's +, * and sum
         check_op_gradients(build, [conv.kernels, conv.bias, bn.gamma, bn.beta, prelu.slope],
                            context=f"{stream} conv and batch norm node")
 
@@ -1026,7 +1105,7 @@ class TestConvNorm:
         finally:
             tracemalloc.stop()
         conv_output_bytes = 2 * 7 * 58 * 98 * 16 * 4
-        assert len(tape) == 2
+        assert len(tape) == 1
         assert largest < conv_output_bytes // 2
 
 

@@ -261,14 +261,14 @@ class TestEndToEnd:
             distance_nodes = len(tape) - visual_nodes - audio_nodes
             loss = contrastive_loss(d, y, m.config, weights=m.weight_tensors())
         # one node per layer, but each stream's conv1 -> bn1 -> prelu1 ->
-        # pool1 records two (the batch norm given the conv and the pool, the
-        # PReLU); the input reshape of embed_audio needs no gradient
-        assert visual_nodes == len(m.visual_net.layers) - 2 == 10
-        assert audio_nodes == len(m.audio_net.layers) - 2 == 7
+        # pool1 records one (the batch norm given the conv, the PReLU and the
+        # pool); the input reshape of embed_audio needs no gradient
+        assert visual_nodes == len(m.visual_net.layers) - 3 == 9
+        assert audio_nodes == len(m.audio_net.layers) - 3 == 6
         # ev - ea, diff * diff, sum, + eps, sqrt
         assert distance_nodes == 5
         # data term: d * d, * 0.5, * y (3); mu - d, maximum (2); hinge * hinge,
         # * 0.5, * (1 - y) (3); +, sum, * 1/n (3). Regularizer over the 7 weight
         # tensors: w * w and sum each (14), 6 running additions, * lam and + (2).
-        assert len(tape) - 10 - 7 - 5 == 3 + 2 + 3 + 3 + 14 + 6 + 2
+        assert len(tape) - 9 - 6 - 5 == 3 + 2 + 3 + 3 + 14 + 6 + 2
         assert tape.nodes[-1][0] is loss
